@@ -9,24 +9,30 @@
 //                                   solves vs one spt_multi_into pass
 //   collusion-payment             : neighbor_resistant_payments per query
 //   fig3b-instance                : overpayment_link_model per instance
+//   fast-payment                  : vcg_payments_fast per source, against
+//                                   the frozen pre-workspace Algorithm 1
+//                                   (tests/reference), memcmp-equal
 // --heap=binary|quad|pairing|bucket selects the workspace-side queue for
 // the dijkstra rows (kBucket: bit-identical dist, own parent tie-break).
 // Run with --json BENCH_kernels.json to refresh the committed numbers.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/fast_payment.hpp"
 #include "core/neighbor_collusion.hpp"
 #include "core/overpayment.hpp"
 #include "graph/generators.hpp"
 #include "spath/batch.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
+#include "fast_payment_reference.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -56,13 +62,13 @@ void require(bool ok, const char* what) {
   }
 }
 
+/// Bit-for-bit equality: memcmp on path_cost and the payment vector.
 bool same_payments(const core::PaymentResult& a, const core::PaymentResult& b) {
-  if (a.path != b.path || a.path_cost != b.path_cost) return false;
-  if (a.payments.size() != b.payments.size()) return false;
-  for (std::size_t i = 0; i < a.payments.size(); ++i) {
-    if (a.payments[i] != b.payments[i]) return false;
-  }
-  return true;
+  return a.path == b.path &&
+         std::memcmp(&a.path_cost, &b.path_cost, sizeof(Cost)) == 0 &&
+         a.payments.size() == b.payments.size() &&
+         std::memcmp(a.payments.data(), b.payments.data(),
+                     a.payments.size() * sizeof(Cost)) == 0;
 }
 
 // --- pre-PR baselines (replicas of the old engine bodies) ------------------
@@ -330,6 +336,29 @@ int main(int argc, char** argv) {
             "overpayment study diverged from baseline");
     report.add_row({"fig3b-instance", std::to_string(n), fmt_ms(fig3_base),
                     fmt_ms(fig3_ws), util::fmt(fig3_base / fig3_ws, 2),
+                    std::to_string(iters)});
+
+    // -- Algorithm 1, cold, per source -----------------------------------
+    std::vector<core::PaymentResult> ref_pays(sources), fast_pays(sources);
+    const auto pay_target = static_cast<NodeId>(n / 2);  // >= sources
+    const double pay_base = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        ref_pays[i] = core::reference::vcg_payments_fast(
+            node_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    const double pay_ws = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        fast_pays[i] =
+            core::vcg_payments_fast(node_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    for (std::size_t i = 0; i < sources; ++i) {
+      require(same_payments(ref_pays[i], fast_pays[i]),
+              "Algorithm 1 payments diverged from the frozen reference");
+    }
+    report.add_row({"fast-payment", std::to_string(n), fmt_ms(pay_base),
+                    fmt_ms(pay_ws), util::fmt(pay_base / pay_ws, 2),
                     std::to_string(iters)});
 
     if (sink == 12345.6789) std::cerr << "";  // keep the sink live

@@ -1,12 +1,13 @@
 #include "core/fast_payment.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
+#include <span>
 #include <vector>
 
 #include "core/audit_hooks.hpp"
 #include "spath/dijkstra.hpp"
-#include "spath/heap.hpp"
+#include "spath/workspace.hpp"
 #include "util/check.hpp"
 
 namespace tc::core {
@@ -18,230 +19,288 @@ using graph::NodeId;
 
 namespace {
 
-/// Children lists of the SPT(s) tree, from the parent array.
-std::vector<std::vector<NodeId>> tree_children(
-    const spath::SptResult& spt) {
-  std::vector<std::vector<NodeId>> children(spt.parent.size());
-  for (NodeId v = 0; v < spt.parent.size(); ++v) {
-    if (spt.parent[v] != kInvalidNode) children[spt.parent[v]].push_back(v);
-  }
-  return children;
+constexpr std::uint32_t kInvalidLevel = LevelLabels::kInvalidLevel;
+// Step-2 walk markers; never left in the level array afterwards.
+constexpr std::uint32_t kUnlabelled = kInvalidLevel - 1;
+constexpr std::uint32_t kOnWalk = kInvalidLevel - 2;
+
+PaymentScratch& thread_local_payment_scratch() {
+  thread_local PaymentScratch scratch;
+  return scratch;
 }
 
 }  // namespace
 
-LevelLabels compute_levels(const graph::NodeGraph& g, NodeId source,
-                           NodeId target) {
-  const spath::SptResult sptS = spath::dijkstra_node(g, source);
-  LevelLabels out;
-  out.levels.assign(g.num_nodes(), LevelLabels::kInvalidLevel);
-  if (!sptS.reached(target)) return out;
-  sptS.path_to_into(target, out.path);
+/// The steps of Algorithm 1 on a PaymentScratch. Every value below is
+/// formed with the same operands in the same association order as the
+/// per-level textbook formulation; DESIGN.md §1.2.1 gives the argument
+/// that the fused passes therefore produce bit-identical payments.
+struct PaymentKernel {
+  /// Step 1 for one root, into caller-owned rows.
+  static void solve_spt_row(PaymentScratch& s, const graph::NodeGraph& g,
+                            NodeId root, std::vector<Cost>& dist,
+                            std::vector<NodeId>& parent) {
+    dist.resize(g.num_nodes());
+    parent.resize(g.num_nodes());
+    spath::dijkstra_node_row_into(s.ws_, g, root, dist, parent);
+  }
 
-  // Index of each LCP node along the path.
-  std::vector<std::uint32_t> path_index(g.num_nodes(),
-                                        LevelLabels::kInvalidLevel);
-  for (std::uint32_t l = 0; l < out.path.size(); ++l)
-    path_index[out.path[l]] = l;
-
-  // Top-down tree walk: a node inherits its parent's level unless it is on
-  // the LCP itself, in which case its level is its path index.
-  const auto children = tree_children(sptS);
-  std::vector<NodeId> stack{source};
-  out.levels[source] = 0;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    for (NodeId v : children[u]) {
-      out.levels[v] = path_index[v] != LevelLabels::kInvalidLevel
-                          ? path_index[v]
-                          : out.levels[u];
-      stack.push_back(v);
+  /// The LCP r_0..r_q: the tree path to a reached target.
+  static void lcp_into(std::span<const NodeId> parent, NodeId target,
+                       std::vector<NodeId>& path) {
+    for (NodeId v = target; v != kInvalidNode; v = parent[v]) {
+      path.push_back(v);
     }
-  }
-  return out;
-}
-
-namespace {
-
-/// Steps 2-5 of Algorithm 1 given the two step-1 trees; requires
-/// sptS.reached(target). Shared by the from-scratch overloads and the
-/// SPT-accepting one.
-PaymentResult fast_payments_from_spts(const graph::NodeGraph& g, NodeId source,
-                                      NodeId target,
-                                      const spath::SptResult& sptS,
-                                      const spath::SptResult& sptT) {
-  const std::size_t n = g.num_nodes();
-
-  PaymentResult result;
-  result.payments.assign(n, 0.0);
-
-  sptS.path_to_into(target, result.path);
-  result.path_cost = sptS.dist[target];
-  const std::size_t q = result.path.size() - 1;  // path r_0..r_q
-  if (q < 2) {                                   // no relay nodes
-    return result;
+    std::reverse(path.begin(), path.end());
   }
 
-  const std::vector<Cost>& L = sptS.dist;  // relay cost s -> v (excl. both)
-  const std::vector<Cost>& R = sptT.dist;  // relay cost v -> t (excl. both)
-
-  // --- Step 2: levels. -------------------------------------------------
-  std::vector<std::uint32_t> path_index(n, LevelLabels::kInvalidLevel);
-  for (std::uint32_t l = 0; l <= q; ++l) path_index[result.path[l]] = l;
-
-  std::vector<std::uint32_t> level(n, LevelLabels::kInvalidLevel);
-  {
-    const auto children = tree_children(sptS);
-    std::vector<NodeId> stack{source};
-    level[source] = 0;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : children[u]) {
-        level[v] = path_index[v] != LevelLabels::kInvalidLevel ? path_index[v]
-                                                               : level[u];
-        stack.push_back(v);
+  /// Step 2: level[v] = index of the last LCP node on v's SPT(s) tree
+  /// path (r_l gets l), kInvalidLevel outside the tree. A memoized walk up
+  /// the parent array: each node is climbed past at most once, so O(n)
+  /// with no children lists.
+  static void label_levels(std::span<const NodeId> parent,
+                           std::span<const NodeId> path,
+                           std::vector<std::uint32_t>& level,
+                           std::vector<NodeId>& stack) {
+    const std::size_t n = parent.size();
+    level.assign(n, kUnlabelled);
+    for (std::uint32_t l = 0; l < path.size(); ++l) level[path[l]] = l;
+    for (NodeId v = 0; v < n; ++v) {
+      NodeId u = v;
+      while (level[u] == kUnlabelled && parent[u] != kInvalidNode) {
+        level[u] = kOnWalk;
+        stack.push_back(u);
+        u = parent[u];
       }
+      TC_CHECK_MSG(level[u] != kOnWalk, "SPT parent array has a cycle");
+      // A parentless node off the LCP is not in the tree.
+      if (level[u] == kUnlabelled) level[u] = kInvalidLevel;
+      for (const NodeId w : stack) level[w] = level[u];
+      stack.clear();
     }
   }
 
-  // Cost contribution of a node when it is interior on a candidate path;
-  // the endpoints' own costs are excluded by the path-cost convention.
-  auto interior_cost = [&](NodeId v) -> Cost {
-    return (v == source || v == target) ? 0.0 : g.node_cost(v);
-  };
+  /// Steps 2-6 given SPT(s) (dist_s = L, parent) and SPT(t)'s dist_t = R.
+  static void price_from_spts(PaymentScratch& s, const graph::NodeGraph& g,
+                              NodeId source, NodeId target,
+                              std::span<const Cost> dist_s,
+                              std::span<const NodeId> parent,
+                              std::span<const Cost> dist_t,
+                              PaymentResult& out) {
+    const std::size_t n = g.num_nodes();
+    out.payments.assign(n, 0.0);
+    out.path.clear();
+    out.path_cost = kInfCost;
+    out.profile_version = 0;
+    if (!graph::finite_cost(dist_s[target])) return;
+    lcp_into(parent, target, out.path);
+    TC_DCHECK(out.path.front() == source);
+    out.path_cost = dist_s[target];
+    const auto q = static_cast<std::uint32_t>(out.path.size() - 1);
+    if (q < 2) return;  // no relay nodes
 
-  // Off-path nodes grouped by level (only levels 1..q-1 ever matter).
-  std::vector<std::vector<NodeId>> nodes_at_level(q);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t l = level[v];
-    if (l == LevelLabels::kInvalidLevel) continue;      // unreachable
-    if (path_index[v] != LevelLabels::kInvalidLevel) continue;  // on path
-    if (l >= 1 && l <= q - 1) nodes_at_level[l].push_back(v);
-  }
+    // --- Step 2: levels. ---------------------------------------------
+    label_levels(parent, out.path, s.level_, s.stack_);
+    const std::uint32_t* const level = s.level_.data();
+    const NodeId* const path = out.path.data();
+    const Cost* const cost = g.costs().data();
+    // A node's cost when it is interior on a candidate path; the
+    // endpoints' own costs are excluded by the path-cost convention.
+    const auto interior = [&](NodeId v) -> Cost {
+      return (v == source || v == target) ? 0.0 : cost[v];
+    };
+    s.lc_.resize(n);
+    s.cr_.resize(n);
+    Cost* const lc = s.lc_.data();
+    Cost* const cr = s.cr_.data();
+    for (NodeId v = 0; v < n; ++v) {
+      lc[v] = dist_s[v] + interior(v);
+      cr[v] = interior(v) + dist_t[v];
+    }
 
-  // --- Step 3: R^{-l}(v) per level, high to low. -----------------------
-  // R_minus[v] = ||P(v, t, G \ r_l)|| for v of level l, computed by a
-  // Dijkstra restricted to level-l nodes, seeded by transitions to
-  // higher-level neighbors whose R already avoids r_l (Lemma 2). Lemma 3
-  // lets us ignore transitions to lower levels.
-  std::vector<Cost> R_minus(n, kInfCost);
-  // c_minus[l]: step-4 candidate value of ||P_{-r_l}(s, t)|| via level-l
-  // nodes.
-  std::vector<Cost> c_minus(q, kInfCost);
-
-  {
-    std::vector<bool> settled(n, false);
-    using QEntry = std::pair<Cost, NodeId>;
-    for (std::uint32_t l = q - 1; l >= 1; --l) {
-      const auto& members = nodes_at_level[l];
-      if (members.empty()) {
-        if (l == 1) break;
-        continue;
-      }
-      std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-      for (NodeId v : members) {
-        Cost base = kInfCost;
-        for (NodeId w : g.neighbors(v)) {
-          const std::uint32_t lw = level[w];
-          if (lw == LevelLabels::kInvalidLevel || lw <= l) continue;
-          if (!graph::finite_cost(R[w])) continue;
-          base = std::min(base, interior_cost(w) + R[w]);
+    // --- Fused scan (steps 3-5 inputs). --------------------------------
+    // Off-path nodes of levels 1..q-1 are the step-3 members. For each:
+    //  * R^{-l}(v) is seeded from higher-level neighbors w, whose R(w)
+    //    already avoids r_l (Lemma 2): min c_w + R(w);
+    //  * low(v) = min L(u) + c_u over lower-level neighbors u, the best
+    //    way into v from the source side (step 4).
+    // Every edge (a, b) with level(a) + 2 <= level(b) crosses the levels
+    // strictly between; its value L(a)+c_a+c_b+R(b) is min-stamped onto
+    // that level range in a range-min tree (step 5), whose leaf l ends up
+    // holding the cheapest path that jumps over r_l.
+    s.r_minus_.resize(n);
+    s.low_.resize(n);
+    s.min_low_.assign(q, kInfCost);
+    const std::size_t width = std::bit_ceil(std::size_t{q});
+    s.cross_.assign(2 * width, kInfCost);
+    s.heap_.reset(n);
+    Cost* const r_minus = s.r_minus_.data();
+    Cost* const low = s.low_.data();
+    Cost* const min_low = s.min_low_.data();
+    Cost* const cross = s.cross_.data();
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint32_t lv = level[v];
+      if (lv == kInvalidLevel) continue;
+      const bool member = lv >= 1 && lv < q && path[lv] != v;
+      if (!member && lv + 2 > q) continue;  // no work from v
+      Cost seed = kInfCost;
+      Cost lo = kInfCost;
+      for (const NodeId w : g.neighbors(v)) {
+        const std::uint32_t lw = level[w];
+        if (lw == kInvalidLevel || lw == lv) continue;
+        if (lw < lv) {
+          lo = std::min(lo, lc[w]);
+          continue;
         }
-        R_minus[v] = base;
-        if (graph::finite_cost(base)) pq.emplace(base, v);
-      }
-      while (!pq.empty()) {
-        const auto [dv, v] = pq.top();
-        pq.pop();
-        if (settled[v] || dv > R_minus[v]) continue;
-        settled[v] = true;
-        for (NodeId w : g.neighbors(v)) {
-          // Within-level relaxation only: w must be an off-path node of
-          // the same level.
-          if (level[w] != l || path_index[w] != LevelLabels::kInvalidLevel)
-            continue;
-          if (settled[w]) continue;
-          const Cost cand = interior_cost(v) + dv;
-          if (cand < R_minus[w]) {
-            R_minus[w] = cand;
-            pq.emplace(cand, w);
+        seed = std::min(seed, cr[w]);
+        if (lw < lv + 2 || !graph::finite_cost(dist_t[w])) continue;
+        const Cost value = lc[v] + interior(w) + dist_t[w];
+        for (std::size_t a = width + lv + 1, b = width + lw; a < b;
+             a >>= 1, b >>= 1) {
+          if ((a & 1) != 0) {
+            cross[a] = std::min(cross[a], value);
+            ++a;
+          }
+          if ((b & 1) != 0) {
+            --b;
+            cross[b] = std::min(cross[b], value);
           }
         }
       }
+      if (!member) continue;
+      r_minus[v] = seed;
+      low[v] = lo;
+      min_low[lv] = std::min(min_low[lv], lo);
+      if (graph::finite_cost(seed)) s.heap_.push_or_decrease(v, seed);
+    }
 
-      // --- Step 4: crossings s -> (level < l) -> v(level l) -> t. ------
-      for (NodeId v : members) {
-        if (!graph::finite_cost(R_minus[v])) continue;
-        for (NodeId u : g.neighbors(v)) {
-          const std::uint32_t lu = level[u];
-          if (lu == LevelLabels::kInvalidLevel || lu >= l) continue;
-          if (!graph::finite_cost(L[u])) continue;
-          const Cost cand =
-              L[u] + interior_cost(u) + g.node_cost(v) + R_minus[v];
-          c_minus[l] = std::min(c_minus[l], cand);
+    // avoid[l] starts at the cheapest crossing over r_l (step 5) and
+    // takes step 4's candidates as the Dijkstra settles level-l members.
+    s.avoid_.assign(q, kInfCost);
+    s.open_.assign(q, 0);
+    Cost* const avoid = s.avoid_.data();
+    std::uint32_t open_levels = 0;
+    for (std::uint32_t l = 1; l < q; ++l) {
+      for (std::size_t p = width + l; p >= 1; p >>= 1) {
+        avoid[l] = std::min(avoid[l], cross[p]);
+      }
+      if (graph::finite_cost(min_low[l])) {
+        s.open_[l] = 1;
+        ++open_levels;
+      }
+    }
+
+    // --- Steps 3 and 4: one restricted Dijkstra for all levels. --------
+    // Relaxation stays within a level, so the levels never interact and
+    // one heap serves them all. A settled member's candidate is
+    // (low(v) + c_v) + R^{-l}(v). Keys pop in nondecreasing order, and
+    // every later level-l candidate is at least min_low[l] + d; once that
+    // reaches avoid[l], level l can no longer improve and is closed.
+    while (open_levels > 0 && !s.heap_.empty()) {
+      const auto [d, v] = s.heap_.pop_min();
+      const std::uint32_t l = level[v];
+      if (s.open_[l] == 0) continue;
+      if (min_low[l] + d >= avoid[l]) {
+        s.open_[l] = 0;
+        --open_levels;
+        continue;
+      }
+      avoid[l] = std::min(avoid[l], low[v] + cost[v] + d);
+      const Cost through = cost[v] + d;
+      const NodeId r_l = path[l];
+      for (const NodeId w : g.neighbors(v)) {
+        if (level[w] != l || w == r_l) continue;
+        if (through < r_minus[w]) {
+          r_minus[w] = through;
+          s.heap_.push_or_decrease(w, through);
         }
       }
-      if (l == 1) break;
+    }
+
+    // --- Step 6: payments. ---------------------------------------------
+    for (std::uint32_t l = 1; l < q; ++l) {
+      const NodeId r_l = path[l];
+      out.payments[r_l] = graph::finite_cost(avoid[l])
+                              ? avoid[l] - out.path_cost + cost[r_l]
+                              : kInfCost;
     }
   }
 
-  // --- Step 5: crossing-edge heap, swept l = q-1 .. 1. ------------------
-  struct CrossEdge {
-    Cost value;
-    std::uint32_t alpha;  // lower endpoint level; valid while alpha < l
-    bool operator>(const CrossEdge& other) const {
-      return value > other.value;
+  /// compute_levels: step 1 for the source, then step 2.
+  static LevelLabels level_labels(PaymentScratch& s,
+                                  const graph::NodeGraph& g, NodeId source,
+                                  NodeId target) {
+    TC_CHECK_MSG(target < g.num_nodes(), "endpoint out of range");
+    solve_spt_row(s, g, source, s.dist_s_, s.parent_s_);
+    LevelLabels out;
+    if (!graph::finite_cost(s.dist_s_[target])) {
+      out.levels.assign(g.num_nodes(), kInvalidLevel);
+      return out;
     }
-  };
-  // insert_at[l]: edges first valid at level l (= min(beta - 1, q - 1)).
-  std::vector<std::vector<CrossEdge>> insert_at(q);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (u > v) continue;  // each undirected edge once
-      const std::uint32_t lu = level[u];
-      const std::uint32_t lv = level[v];
-      if (lu == LevelLabels::kInvalidLevel || lv == LevelLabels::kInvalidLevel)
-        continue;
-      if (lu == lv) continue;
-      const NodeId a = lu < lv ? u : v;  // lower-level side (s side)
-      const NodeId b = lu < lv ? v : u;  // higher-level side (t side)
-      const std::uint32_t alpha = std::min(lu, lv);
-      const std::uint32_t beta = std::max(lu, lv);
-      if (beta < alpha + 2) continue;  // no integer level strictly between
-      if (!graph::finite_cost(L[a]) || !graph::finite_cost(R[b])) continue;
-      const std::uint32_t first_l =
-          std::min<std::uint32_t>(beta - 1, static_cast<std::uint32_t>(q - 1));
-      if (first_l < 1 || first_l <= alpha) continue;
-      const Cost value =
-          L[a] + interior_cost(a) + interior_cost(b) + R[b];
-      insert_at[first_l].push_back({value, alpha});
-    }
+    lcp_into(s.parent_s_, target, out.path);
+    label_levels(s.parent_s_, out.path, out.levels, s.stack_);
+    return out;
   }
 
-  std::priority_queue<CrossEdge, std::vector<CrossEdge>, std::greater<>> heap;
-  for (std::uint32_t l = static_cast<std::uint32_t>(q - 1); l >= 1; --l) {
-    for (const CrossEdge& e : insert_at[l]) heap.push(e);
-    // Lazy invalidation: an edge with alpha >= l can never become valid
-    // again as l decreases.
-    while (!heap.empty() && heap.top().alpha >= l) heap.pop();
-    const Cost heap_cand = heap.empty() ? kInfCost : heap.top().value;
-    const Cost avoid_cost = std::min(heap_cand, c_minus[l]);
-
-    const NodeId r_l = result.path[l];
-    result.payments[r_l] = graph::finite_cost(avoid_cost)
-                               ? avoid_cost - result.path_cost +
-                                     g.node_cost(r_l)
-                               : kInfCost;
-    if (l == 1) break;
+  static void payments_into(PaymentScratch& s, const graph::NodeGraph& g,
+                            NodeId source, NodeId target,
+                            const spath::SptResult* spt_source,
+                            const spath::SptResult* spt_target,
+                            PaymentResult& out) {
+    const std::size_t n = g.num_nodes();
+    TC_CHECK_MSG(source != target, "source and target must differ");
+    TC_CHECK_MSG(source < n && target < n, "endpoint out of range");
+    TC_CHECK_MSG((spt_source == nullptr) == (spt_target == nullptr),
+                 "pass both trees or neither");
+    if (spt_source == nullptr) {
+      // --- Step 1: SPTs into the scratch rows. -------------------------
+      s.tree_source_ = source;
+      s.tree_target_ = target;
+      solve_spt_row(s, g, source, s.dist_s_, s.parent_s_);
+      if (graph::finite_cost(s.dist_s_[target])) {
+        solve_spt_row(s, g, target, s.dist_t_, s.parent_t_);
+      }
+      price_from_spts(s, g, source, target, s.dist_s_, s.parent_s_,
+                      s.dist_t_, out);
+      return;
+    }
+    TC_CHECK_MSG(spt_source->source == source &&
+                     spt_source->dist.size() == n &&
+                     spt_source->parent.size() == n,
+                 "SPT(s) does not match the source or the graph size");
+    if (spt_source->reached(target)) {
+      TC_CHECK_MSG(spt_target->source == target &&
+                       spt_target->dist.size() == n &&
+                       spt_target->parent.size() == n,
+                   "SPT(t) does not match the target or the graph size");
+    }
+    price_from_spts(s, g, source, target, spt_source->dist,
+                    spt_source->parent, spt_target->dist, out);
   }
+};
 
-  TC_DCHECK(internal::audit_ok(g, source, target, result));
-  return result;
+spath::SptResult PaymentScratch::source_tree() const {
+  return {tree_source_, dist_s_, parent_s_};
 }
 
-}  // namespace
+spath::SptResult PaymentScratch::target_tree() const {
+  return {tree_target_, dist_t_, parent_t_};
+}
+
+void fast_payments_into(PaymentScratch& scratch, const graph::NodeGraph& g,
+                        NodeId source, NodeId target,
+                        const spath::SptResult* spt_source,
+                        const spath::SptResult* spt_target,
+                        PaymentResult& out) {
+  PaymentKernel::payments_into(scratch, g, source, target, spt_source,
+                               spt_target, out);
+}
+
+LevelLabels compute_levels(const graph::NodeGraph& g, NodeId source,
+                           NodeId target) {
+  return PaymentKernel::level_labels(thread_local_payment_scratch(), g,
+                                     source, target);
+}
 
 PaymentResult vcg_payments_fast(const graph::NodeGraph& g, NodeId source,
                                 NodeId target) {
@@ -252,21 +311,15 @@ PaymentResult vcg_payments_fast(const graph::NodeGraph& g, NodeId source,
                                 NodeId target,
                                 spath::SptResult* spt_source_out,
                                 spath::SptResult* spt_target_out) {
-  TC_CHECK_MSG(source != target, "source and target must differ");
-
-  // --- Step 1: SPTs and the LCP. -------------------------------------
-  spath::SptResult sptS = spath::dijkstra_node(g, source);
-  if (!sptS.reached(target)) {
-    PaymentResult result;
-    result.payments.assign(g.num_nodes(), 0.0);
-    if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);
-    return result;
+  PaymentScratch& scratch = thread_local_payment_scratch();
+  PaymentResult result;
+  fast_payments_into(scratch, g, source, target, nullptr, nullptr, result);
+  if (spt_source_out != nullptr) *spt_source_out = scratch.source_tree();
+  if (spt_target_out != nullptr && result.connected()) {
+    *spt_target_out = scratch.target_tree();
   }
-  spath::SptResult sptT = spath::dijkstra_node(g, target);
-  PaymentResult result =
-      fast_payments_from_spts(g, source, target, sptS, sptT);
-  if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);
-  if (spt_target_out != nullptr) *spt_target_out = std::move(sptT);
+  TC_DCHECK(!result.connected() ||
+            internal::audit_ok(g, source, target, result));
   return result;
 }
 
@@ -274,17 +327,12 @@ PaymentResult vcg_payments_fast(const graph::NodeGraph& g, NodeId source,
                                 NodeId target,
                                 const spath::SptResult& spt_source,
                                 const spath::SptResult& spt_target) {
-  TC_CHECK_MSG(source != target, "source and target must differ");
-  TC_DCHECK(spt_source.source == source && spt_source.dist.size() ==
-                                               g.num_nodes());
-  if (!spt_source.reached(target)) {
-    PaymentResult result;
-    result.payments.assign(g.num_nodes(), 0.0);
-    return result;
-  }
-  TC_DCHECK(spt_target.source == target && spt_target.dist.size() ==
-                                               g.num_nodes());
-  return fast_payments_from_spts(g, source, target, spt_source, spt_target);
+  PaymentResult result;
+  fast_payments_into(thread_local_payment_scratch(), g, source, target,
+                     &spt_source, &spt_target, result);
+  TC_DCHECK(!result.connected() ||
+            internal::audit_ok(g, source, target, result));
+  return result;
 }
 
 }  // namespace tc::core

@@ -17,21 +17,101 @@
 //     lower level.
 //  4. c^{-l} = cheapest s->t path that crosses into a level-l node from a
 //     lower-level neighbor and continues via R^{-l}.
-//  5. A min-heap over "crossing" edges (a, b) with level(a) < l < level(b)
-//     valued L(a)+c_a+c_b+R(b), swept from l = q-1 down to 1 with lazy
-//     invalidation, yields the cheapest path that jumps over level l.
-//     ||P_{-r_l}|| = min(heap top, c^{-l}).
+//  5. The cheapest path that jumps over level l through a "crossing" edge
+//     (a, b) with level(a) < l < level(b), valued L(a)+c_a+c_b+R(b).
+//     ||P_{-r_l}|| = min(cheapest crossing, c^{-l}).
 //  6. p^{r_l} = ||P_{-r_l}|| - ||P|| + d_{r_l}.
 //
+// Engine layout (DESIGN.md §1.2.1): everything runs in one allocation-free
+// core, fast_payments_into, on a reusable PaymentScratch. Step 1 uses the
+// spath row kernels; step 2 is a memoized walk up the parent array; one
+// scan over the adjacency seeds step 3, collects step 4's lower-level
+// entries and folds every crossing edge of step 5 into a range-min tree;
+// one early-stopping restricted Dijkstra serves every level of steps 3
+// and 4. Payments are bit-for-bit those of the textbook per-level
+// formulation (pinned by tests/core_fast_payment_bits_test.cpp).
+//
 // Differential-tested against vcg_payments_naive on thousands of random
-// instances (tests/fast_payment_test.cpp).
+// instances (tests/core_fast_payment_test.cpp).
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "core/payment.hpp"
 #include "graph/node_graph.hpp"
 #include "spath/dijkstra.hpp"
+#include "spath/heap.hpp"
+#include "spath/workspace.hpp"
 
 namespace tc::core {
+
+struct PaymentKernel;
+
+/// Reusable working state of Algorithm 1: the step-1 rows, the per-node
+/// arrays of steps 2-4, the per-level arrays and one indexed heap. Every
+/// array is grow-only, so pricing allocates nothing after the first call
+/// on a graph of a given size. Owns its own DijkstraWorkspace: readings a
+/// caller holds from spath::thread_local_workspace() survive a pricing
+/// call. Not thread-safe; use one per thread (vcg_payments_fast keeps a
+/// thread-local one).
+class PaymentScratch {
+ public:
+  PaymentScratch() = default;
+  PaymentScratch(const PaymentScratch&) = delete;
+  PaymentScratch& operator=(const PaymentScratch&) = delete;
+
+  /// SPT(s) / SPT(t) as step 1 of the last tree-solving
+  /// fast_payments_into call left them, materialized as allocating-API
+  /// trees (bit-identical to dijkstra_node). target_tree() is meaningful
+  /// only when that call found the target reachable.
+  [[nodiscard]] spath::SptResult source_tree() const;
+  [[nodiscard]] spath::SptResult target_tree() const;
+
+ private:
+  friend struct PaymentKernel;
+
+  spath::DijkstraWorkspace ws_;
+  graph::NodeId tree_source_ = graph::kInvalidNode;
+  graph::NodeId tree_target_ = graph::kInvalidNode;
+  // Step 1: SPT(s) (L = relay cost s -> v) and SPT(t) (R = v -> t).
+  std::vector<graph::Cost> dist_s_;
+  std::vector<graph::NodeId> parent_s_;
+  std::vector<graph::Cost> dist_t_;
+  std::vector<graph::NodeId> parent_t_;
+  // Step 2: levels, and the walk's stack.
+  std::vector<std::uint32_t> level_;
+  std::vector<graph::NodeId> stack_;
+  // Per node: L(v) + c_v, c_v + R(v), R^{-l}(v) (tentative until
+  // settled), and low(v) = min L(u) + c_u over lower-level neighbors.
+  std::vector<graph::Cost> lc_;
+  std::vector<graph::Cost> cr_;
+  std::vector<graph::Cost> r_minus_;
+  std::vector<graph::Cost> low_;
+  // Per level: min low over members, the running ||P_{-r_l}||, and
+  // whether the level is still searching.
+  std::vector<graph::Cost> min_low_;
+  std::vector<graph::Cost> avoid_;
+  std::vector<std::uint8_t> open_;
+  // Range-min tree over levels holding the cheapest crossing edges.
+  std::vector<graph::Cost> cross_;
+  spath::BinaryHeap heap_{0};
+};
+
+/// The allocation-free core every vcg_payments_fast overload wraps: writes
+/// the LCP, its cost and all VCG payments into `out` (replacing its
+/// contents; profile_version is reset to 0), reusing `out`'s and the
+/// scratch's capacity. With null trees, step 1 solves SPT(s) and SPT(t)
+/// into the scratch (see PaymentScratch::source_tree). Otherwise both
+/// trees must be passed and must equal dijkstra_node(g, source) /
+/// dijkstra_node(g, target) on `g` as passed; their shape (source id,
+/// dist and parent sizes) is checked, and SPT(t)'s only when the target
+/// is reachable.
+void fast_payments_into(PaymentScratch& scratch, const graph::NodeGraph& g,
+                        graph::NodeId source, graph::NodeId target,
+                        const spath::SptResult* spt_source,
+                        const spath::SptResult* spt_target,
+                        PaymentResult& out);
 
 /// Computes the LCP and all VCG payments in O(n log n + m). Interprets the
 /// graph's stored node costs as the declared vector d. Identical output to
@@ -57,7 +137,10 @@ namespace tc::core {
 /// must equal what dijkstra_node(g, source) / dijkstra_node(g, target)
 /// would produce on `g` as passed (same dists and parents); this is the
 /// caller's contract and is TC_DCHECK-audited via the payment invariants
-/// in debug builds. Identical output to the from-scratch overloads.
+/// in debug builds. The O(1) shape of each tree (source id, dist and
+/// parent sizes) is TC_CHECKed in every build: a tree of the wrong graph
+/// aborts instead of being read out of bounds. Identical output to the
+/// from-scratch overloads.
 [[nodiscard]] PaymentResult vcg_payments_fast(
     const graph::NodeGraph& g, graph::NodeId source, graph::NodeId target,
     const spath::SptResult& spt_source, const spath::SptResult& spt_target);
@@ -73,7 +156,8 @@ struct LevelLabels {
 };
 
 /// Computes the step-2 level labels (used by tests and by the distributed
-/// verification protocol's audit step).
+/// verification protocol's audit step) with the same step-1 kernel and
+/// step-2 walk as the pricing core.
 [[nodiscard]] LevelLabels compute_levels(const graph::NodeGraph& g,
                                          graph::NodeId source,
                                          graph::NodeId target);

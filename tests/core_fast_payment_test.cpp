@@ -9,6 +9,7 @@
 #include "core/vcg_unicast.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "spath/dijkstra.hpp"
 #include "util/rng.hpp"
 
 namespace tc::core {
@@ -65,6 +66,32 @@ TEST(FastPayment, MonopolyIsInfinite) {
   const auto g = graph::make_path(5, 1.0);
   const PaymentResult r = vcg_payments_fast(g, 0, 4);
   for (NodeId k = 1; k <= 3; ++k) EXPECT_TRUE(std::isinf(r.payments[k]));
+}
+
+// The SPT-accepting overload checks each tree's O(1) shape in every build
+// type: a tree of another graph or another root would otherwise be read
+// out of bounds (or silently price the wrong route) in Release.
+TEST(FastPaymentDeathTest, SptOverloadRejectsMisshapenTrees) {
+  const auto g = graph::make_fig4_graph();
+  const spath::SptResult from_s = spath::dijkstra_node(g, 8);
+  const spath::SptResult from_t = spath::dijkstra_node(g, 0);
+  EXPECT_DEATH((void)vcg_payments_fast(g, 8, 0, spath::dijkstra_node(g, 1),
+                                       from_t),
+               "SPT\\(s\\) does not match");
+  spath::SptResult short_dist = from_s;
+  short_dist.dist.pop_back();
+  EXPECT_DEATH((void)vcg_payments_fast(g, 8, 0, short_dist, from_t),
+               "SPT\\(s\\) does not match");
+  EXPECT_DEATH((void)vcg_payments_fast(g, 8, 0, from_s,
+                                       spath::dijkstra_node(g, 2)),
+               "SPT\\(t\\) does not match");
+  spath::SptResult short_parent = from_t;
+  short_parent.parent.pop_back();
+  EXPECT_DEATH((void)vcg_payments_fast(g, 8, 0, from_s, short_parent),
+               "SPT\\(t\\) does not match");
+  // Well-shaped trees still price.
+  EXPECT_DOUBLE_EQ(vcg_payments_fast(g, 8, 0, from_s, from_t).total_payment(),
+                   20.0);
 }
 
 TEST(FastPayment, DifferentialErdosRenyi) {

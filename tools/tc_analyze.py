@@ -20,10 +20,11 @@ run in CI, so a violation fails the build. Rules:
                 allocates per call: dijkstra_*_into, the batched
                 spt_multi_into (its SptMatrix is the one grow-only
                 allocation for a whole many-roots pass, never per root),
-                MaskedSptDelta::eval and CostDelta::apply_* reuse
-                grow-only arenas (DijkstraWorkspace) instead of building
-                O(n) state per invocation. This rule walks the call
-                graph from those roots and rejects any reachable
+                MaskedSptDelta::eval, CostDelta::apply_* and Algorithm
+                1's pricing core (core::fast_payments_into on its
+                PaymentScratch) reuse grow-only arenas instead of
+                building O(n) state per invocation. This rule walks the
+                call graph from those roots and rejects any reachable
                 function that constructs
                 a local std container, calls make_unique/make_shared,
                 uses a new-expression, or calls an allocating
@@ -127,12 +128,18 @@ LAYER_DEPS: dict[str, tuple[str, ...]] = {
             "distsim"),
 }
 
-# hot-alloc roots: every function named *_into, plus the repair kernels
-# (restricted to definitions under these directories so an unrelated
-# `eval` elsewhere cannot become a root).
+# hot-alloc roots: every function named *_into, plus named roots, each
+# restricted to definitions under its own directory so an unrelated
+# `eval` elsewhere cannot become a root: the repair kernels in spath and
+# Algorithm 1's allocation-free pricing core in core (rooted by name too,
+# so it stays covered whatever the suffix rule matches).
 HOT_ROOT_SUFFIX = "_into"
-HOT_EXTRA_ROOTS = ("eval", "apply_node_cost", "apply_arc_cost")
-HOT_ROOT_DIRS = ("src/spath",)
+HOT_EXTRA_ROOTS = (
+    ("eval", "src/spath"),
+    ("apply_node_cost", "src/spath"),
+    ("apply_arc_cost", "src/spath"),
+    ("fast_payments_into", "src/core"),
+)
 
 # Functions the hot-alloc traversal treats as amortized-O(1) boundaries:
 # they rebuild a memoized structure behind a dirty flag / CAS and are
@@ -145,8 +152,7 @@ HOT_ALLOC_BOUNDARIES = {
 }
 
 # reader-locks roots: the pricing entry points, restricted to src/svc.
-READER_ROOTS = ("price", "price_with_spts")
-READER_ROOT_DIRS = ("src/svc",)
+READER_ROOTS = (("price", "src/svc"), ("price_with_spts", "src/svc"))
 READER_BOUNDARIES: dict[str, str] = {}
 
 ALLOW_FMT = "tc-analyze: allow({rule})"
@@ -651,21 +657,23 @@ def _chain(seen: dict[str, tuple[FunctionFact, str | None]],
     return " <- ".join(parts)
 
 
-def _check_callgraph(facts: Facts, rule: str, root_names: tuple[str, ...],
-                     root_suffix: str | None, root_dirs: tuple[str, ...],
+def _check_callgraph(facts: Facts, rule: str,
+                     named_roots: tuple[tuple[str, str], ...],
+                     root_suffix: str | None,
                      boundaries: dict[str, str], what: str) -> list[str]:
     roots = []
     for f in facts.functions:
         rel = str(f.path.relative_to(facts.root))
-        in_root_dir = any(rel.startswith(d + "/") for d in root_dirs)
         if root_suffix and f.name.endswith(root_suffix):
             roots.append(f)
-        elif f.name in root_names and in_root_dir:
+        elif any(f.name == name and rel.startswith(d + "/")
+                 for name, d in named_roots):
             roots.append(f)
     if not roots:
+        expected = ", ".join(f"{name} under {d}" for name, d in named_roots)
         return [f"<project>: [{rule}] no root functions found "
-                f"(expected {root_suffix or ''} {'/'.join(root_names)} "
-                f"under {', '.join(root_dirs)}); the rule would be vacuous"]
+                f"(expected {root_suffix or ''} {expected}); "
+                f"the rule would be vacuous"]
     index = facts.by_name()
     seen = _reachable(facts, roots, boundaries)
     violations = []
@@ -735,13 +743,13 @@ def check_lock_order(facts: Facts) -> list[str]:
 
 def check_hot_alloc(facts: Facts) -> list[str]:
     return _check_callgraph(
-        facts, "hot-alloc", HOT_EXTRA_ROOTS, HOT_ROOT_SUFFIX, HOT_ROOT_DIRS,
+        facts, "hot-alloc", HOT_EXTRA_ROOTS, HOT_ROOT_SUFFIX,
         HOT_ALLOC_BOUNDARIES, "the workspace kernels")
 
 
 def check_reader_locks(facts: Facts) -> list[str]:
     return _check_callgraph(
-        facts, "reader-locks", READER_ROOTS, None, READER_ROOT_DIRS,
+        facts, "reader-locks", READER_ROOTS, None,
         READER_BOUNDARIES, "the lock-free pricing path")
 
 
