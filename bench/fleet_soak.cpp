@@ -21,12 +21,11 @@
 //   and epoch-for-epoch. Any divergence fails the binary — cross-tenant
 //   interference cannot hide behind a good latency table.
 //
-// Load shape and scheduler A/B
+// Load shape
 //   --skew zipf:<s> draws quote tenants from a Zipf(s) distribution
 //   (declares stay uniform over owned tenants), concentrating read
-//   traffic on hot low-id tenants; --sched off disables the load-aware
-//   scheduler (placement, stealing, coalescing, WFQ weights) to get the
-//   static `tenant % shards` baseline the speedup is measured against.
+//   traffic on hot low-id tenants — and, under static `tenant % shards`
+//   placement, on the low shards.
 //
 // BENCH_fleet.json is the committed reference; tools/bench_compare.py
 // gates ops_per_sec / latency / attainment against it in CI (`--quick`
@@ -84,8 +83,7 @@ graph::NodeGraph tenant_graph(std::uint64_t seed, std::size_t nodes) {
 /// Zipf(s) sampler over tenant ids: weight(rank) = (rank+1)^-s with
 /// tenant id == rank, so low ids are hot. s == 0 degrades to uniform.
 /// Under static `tenant % shards` placement, hot low ids concentrate on
-/// the low shards — exactly the imbalance the load-aware scheduler has
-/// to erase.
+/// the low shards.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s) : cdf_(n) {
@@ -219,9 +217,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 2004, "workload seed");
   flags.add_string("skew", "uniform",
                    "quote tenant distribution: uniform | zipf:<s>");
-  flags.add_string("sched", "on",
-                   "on = load-aware stealing/coalescing/WFQ scheduler; "
-                   "off = static tenant%shards baseline (the A/B control)");
   flags.add_bool("quick", false, "CI smoke: 64 tenants, 30k requests");
   flags.add_string("csv", "", "write the report as CSV to this path");
   flags.add_string("json", "", "write the report as JSON to this path");
@@ -250,12 +245,6 @@ int main(int argc, char** argv) {
                  skew_spec.c_str());
     return 1;
   }
-  const std::string sched_spec = flags.get_string("sched");
-  if (sched_spec != "on" && sched_spec != "off") {
-    std::fprintf(stderr, "bad --sched '%s' (on | off)\n", sched_spec.c_str());
-    return 1;
-  }
-  const bool sched_on = sched_spec == "on";
   std::optional<ZipfSampler> zipf;
   if (zipf_s > 0.0) zipf.emplace(tenants, zipf_s);
 
@@ -264,21 +253,12 @@ int main(int argc, char** argv) {
       "thousands of tenants behind one request API sustain interactive "
       "p99s while every price sheet stays oracle-exact");
   std::printf("tenants=%zu clients=%zu requests=%zu shards=%zu nodes=%zu "
-              "write_ratio=%.2f skew=%s sched=%s\n\n",
+              "write_ratio=%.2f skew=%s\n\n",
               tenants, clients, requests, shards, nodes, write_ratio,
-              skew_spec.c_str(), sched_spec.c_str());
+              skew_spec.c_str());
 
   svc::Config config;
   config.fleet.shards = shards;
-  if (!sched_on) {
-    // The static baseline: tenant % shards placement, no steals, no
-    // coalescing, classless round-robin (equal DRR weights).
-    config.fleet.load_aware_placement = false;
-    config.fleet.work_stealing = false;
-    config.fleet.coalesce_quotes = false;
-    config.fleet.interactive_weight = 1;
-    config.fleet.batch_weight = 1;
-  }
   svc::Fleet fleet(config);
   std::vector<graph::NodeGraph> graphs;
   graphs.reserve(tenants);
@@ -331,12 +311,12 @@ int main(int argc, char** argv) {
     sum.interactive += t.interactive;
     sum.batch += t.batch;
   }
-  bench::Report report({"class", "skew", "sched", "tenants", "clients",
+  bench::Report report({"class", "skew", "tenants", "clients",
                         "requests", "total_s", "ops_per_sec", "p50_us",
                         "p99_us", "p999_us", "attainment"});
   const auto row = [&](const char* cls, std::uint64_t reqs, double p50,
                        double p99, double p999, double att) {
-    report.add_row({cls, skew_spec, sched_spec, std::to_string(tenants),
+    report.add_row({cls, skew_spec, std::to_string(tenants),
                     std::to_string(clients), std::to_string(reqs),
                     util::fmt(total_s, 3),
                     util::fmt(static_cast<double>(reqs) / total_s, 1),

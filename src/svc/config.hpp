@@ -10,7 +10,9 @@
 //     is applied to every engine a Fleet hosts.
 //   * FleetConfig  — service-level knobs: shard/worker count, bounded
 //     queue depth and shed watermark, default request deadline, and the
-//     per-tenant token-bucket admission limits.
+//     per-tenant token-bucket admission limits. Dispatch itself has no
+//     knobs: static placement and the fixed 8:1 interactive:batch round
+//     robin are what measurement kept (DESIGN.md §15).
 //
 // validate() returns "" or the first problem found, so binaries can turn
 // a bad flag combination into a clean error instead of a TC_CHECK crash
@@ -61,8 +63,8 @@ struct EngineConfig {
 
 /// Service-level options for svc::Fleet.
 struct FleetConfig {
-  /// Worker shards. Tenants are hashed onto shards; each shard owns one
-  /// worker thread and the engines of its tenants (0 = default 4).
+  /// Worker shards. Tenant t lives on shard t % shards; each shard owns
+  /// one worker thread and the engines of its tenants (0 = default 4).
   std::size_t shards = 0;
   /// Bounded per-shard request queue; a full queue rejects outright.
   std::size_t queue_capacity = 4096;
@@ -78,37 +80,6 @@ struct FleetConfig {
   double tenant_rate_per_sec = 0.0;
   double tenant_burst = 64.0;
 
-  // --- Scheduler (DESIGN.md §15) ---
-  /// Load-aware tenant placement: a tenant's first request pins it to the
-  /// currently least-loaded shard via the ownership table, instead of the
-  /// static `tenant % shards` hash. false restores the static baseline
-  /// (the A/B control for the skewed-load soak).
-  bool load_aware_placement = true;
-  /// Idle workers steal whole-tenant runs (requests, staged mailbox
-  /// items, and the tenant's engine) from the most-loaded shard. Requires
-  /// load_aware_placement — the ownership table is the steal token.
-  bool work_stealing = true;
-  /// Fold consecutive same-tenant quote requests into one engine
-  /// quote_batch call so the multi-source batched kernel amortizes the
-  /// SPT solve across them.
-  bool coalesce_quotes = true;
-  /// Deficit-round-robin quanta (requests added per round) per SLO
-  /// class. Interactive ≫ batch keeps batch floods out of interactive
-  /// tail latency; equal weights degrade to plain round robin.
-  std::uint32_t interactive_weight = 8;
-  std::uint32_t batch_weight = 1;
-  /// Upper bound on requests detached (and thus quotes coalesced) per
-  /// scheduling decision; bounds both batch-call size and the time a
-  /// tenant run is pinned in service.
-  std::size_t coalesce_cap = 64;
-  /// A shard qualifies as a steal victim only with at least this many
-  /// queued requests (keeps idle workers from thrashing warm state over
-  /// scraps).
-  std::size_t steal_min_queue = 8;
-  /// EWMA smoothing factor for the per-shard mean service time feeding
-  /// the load estimate (queue depth × mean service time).
-  double load_ewma_alpha = 0.2;
-
   [[nodiscard]] std::string validate() const {
     if (queue_capacity == 0) return "fleet.queue_capacity must be positive";
     if (shed_watermark > queue_capacity) {
@@ -119,16 +90,6 @@ struct FleetConfig {
     }
     if (tenant_rate_per_sec < 0.0 || tenant_burst < 1.0) {
       return "fleet.tenant token bucket needs rate >= 0 and burst >= 1";
-    }
-    if (work_stealing && !load_aware_placement) {
-      return "fleet.work_stealing requires fleet.load_aware_placement";
-    }
-    if (interactive_weight == 0 || batch_weight == 0) {
-      return "fleet DRR weights must be positive";
-    }
-    if (coalesce_cap == 0) return "fleet.coalesce_cap must be positive";
-    if (load_ewma_alpha <= 0.0 || load_ewma_alpha > 1.0) {
-      return "fleet.load_ewma_alpha must be in (0, 1]";
     }
     return {};
   }

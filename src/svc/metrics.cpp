@@ -141,10 +141,6 @@ FleetMetricsSnapshot FleetMetrics::snapshot() {
   s.throttled = throttled_.load(std::memory_order_relaxed);
   s.expired = expired_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.stolen_runs = stolen_runs_.load(std::memory_order_relaxed);
-  s.stolen_requests = stolen_requests_.load(std::memory_order_relaxed);
-  s.coalesced_groups = coalesced_groups_.load(std::memory_order_relaxed);
-  s.coalesced_requests = coalesced_requests_.load(std::memory_order_relaxed);
   s.interactive_served = interactive_served_.load(std::memory_order_relaxed);
   s.interactive_denied = interactive_denied_.load(std::memory_order_relaxed);
   s.batch_served = batch_served_.load(std::memory_order_relaxed);
@@ -200,10 +196,6 @@ std::string FleetMetricsSnapshot::to_string() const {
       << "throttled         " << throttled << "\n"
       << "expired           " << expired << "\n"
       << "rejected          " << rejected << "\n"
-      << "stolen runs       " << stolen_runs << " (" << stolen_requests
-      << " requests)\n"
-      << "coalesced groups  " << coalesced_groups << " ("
-      << coalesced_requests << " requests)\n"
       << "attainment        "
       << static_cast<int>(attainment() * 1000.0 + 0.5) / 10.0 << "%"
       << "  interactive "

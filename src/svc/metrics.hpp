@@ -154,11 +154,11 @@ struct FleetMetricsSnapshot {
   std::uint64_t throttled = 0;       ///< per-tenant token bucket empty
   std::uint64_t expired = 0;         ///< typed deadline rejections
   std::uint64_t rejected = 0;        ///< no-such-tenant / invalid requests
-  // Scheduler counters (DESIGN.md §15).
-  std::uint64_t stolen_runs = 0;     ///< whole-tenant migrations (steals)
-  std::uint64_t stolen_requests = 0; ///< requests carried by those steals
-  std::uint64_t coalesced_groups = 0;  ///< multi-request quote_batch calls
-  std::uint64_t coalesced_requests = 0;  ///< quote requests folded into them
+  /// Always 0: the fleet neither steals runs nor coalesces quotes
+  /// (DESIGN.md §15). Kept so existing readers still compile.
+  std::uint64_t stolen_runs = 0;
+  std::uint64_t stolen_requests = 0;
+  std::uint64_t coalesced_requests = 0;
   /// Per-class served / denied quote counts (attainment inputs).
   std::uint64_t interactive_served = 0;
   std::uint64_t interactive_denied = 0;
@@ -217,16 +217,6 @@ class FleetMetrics {
   void record_throttled(TenantId tenant, Priority priority);
   void record_expired(TenantId tenant, Priority priority);
   void record_rejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
-  /// One whole-tenant migration carrying `requests` queued requests.
-  void record_steal(std::uint64_t requests) {
-    stolen_runs_.fetch_add(1, std::memory_order_relaxed);
-    stolen_requests_.fetch_add(requests, std::memory_order_relaxed);
-  }
-  /// One coalesced engine call folding `requests` quote requests.
-  void record_coalesced(std::uint64_t requests) {
-    coalesced_groups_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_requests_.fetch_add(requests, std::memory_order_relaxed);
-  }
 
   /// Non-const (unlike Metrics::snapshot): the percentile queries sort
   /// the reservoirs lazily, and the Fleet owns this object outright, so
@@ -287,10 +277,6 @@ class FleetMetrics {
   std::atomic<std::uint64_t> throttled_{0};
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> stolen_runs_{0};
-  std::atomic<std::uint64_t> stolen_requests_{0};
-  std::atomic<std::uint64_t> coalesced_groups_{0};
-  std::atomic<std::uint64_t> coalesced_requests_{0};
   /// Per-class quote outcome counters (attainment numerator/denominator).
   std::atomic<std::uint64_t> interactive_served_{0};
   std::atomic<std::uint64_t> interactive_denied_{0};

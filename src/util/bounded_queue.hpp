@@ -74,11 +74,11 @@ class BoundedQueue {
   }
 
   /// Batch pop: drains up to `max_items` queued items into `out` under
-  /// ONE lock acquisition — the fleet's coalescing drain loop grabs a
-  /// whole request chunk this way instead of paying a lock round-trip
-  /// per item. Never blocks; returns the number of items appended (0
-  /// when empty, whether or not the queue is closed — pair with
-  /// closed() for consumer-exit logic). Items keep FIFO order in `out`.
+  /// ONE lock acquisition — a fleet worker folds its arrivals this way
+  /// instead of paying a lock round-trip per item. Never blocks; returns
+  /// the number of items appended (0 when empty, whether or not the
+  /// queue is closed — pair with closed() for consumer-exit logic).
+  /// Items keep FIFO order in `out`.
   std::size_t try_pop_n(std::vector<T>& out, std::size_t max_items)
       TC_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -87,28 +87,6 @@ class BoundedQueue {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
       ++moved;
-    }
-    return moved;
-  }
-
-  /// Selective drain: removes every queued item matching `pred` into
-  /// `out` (FIFO order preserved) under one lock acquisition; items that
-  /// do not match keep their relative order in the queue. The fleet's
-  /// steal path uses this to extract a migrating tenant's staged
-  /// requests wholesale. Works on a closed queue (it is part of drain).
-  template <typename Pred>
-  std::size_t extract_if(Pred&& pred, std::vector<T>& out)
-      TC_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    std::size_t moved = 0;
-    for (auto it = items_.begin(); it != items_.end();) {
-      if (pred(*it)) {
-        out.push_back(std::move(*it));
-        it = items_.erase(it);
-        ++moved;
-      } else {
-        ++it;
-      }
     }
     return moved;
   }

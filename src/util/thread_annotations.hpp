@@ -25,7 +25,6 @@
 // opt-out is a review error.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -158,20 +157,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the scoped caller still owns the re-acquired lock
-  }
-
-  /// Timed wait: releases `mu`, blocks for at most `timeout`, and
-  /// re-acquires `mu` before returning. Returns false on timeout, true
-  /// when notified (spurious wakeups included) — callers loop on their
-  /// predicate either way. Used by workers that poll an external
-  /// condition (e.g. steal opportunities) alongside their own queue.
-  template <typename Rep, typename Period>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-      TC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lock, timeout);
-    lock.release();  // the scoped caller still owns the re-acquired lock
-    return status == std::cv_status::no_timeout;
   }
 
   void notify_one() { cv_.notify_one(); }

@@ -95,33 +95,6 @@ TEST(BoundedQueue, TryPopNDrainsAcrossClose) {
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 
-TEST(BoundedQueue, ExtractIfRemovesMatchesPreservingOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(int{i}));
-  std::vector<int> odds;
-  EXPECT_EQ(q.extract_if([](const int& v) { return v % 2 == 1; }, odds), 3u);
-  EXPECT_EQ(odds, (std::vector<int>{1, 3, 5}));
-  EXPECT_EQ(q.depth(), 3u);
-  // The survivors keep their relative order too.
-  EXPECT_EQ(q.pop(), std::optional<int>(0));
-  EXPECT_EQ(q.pop(), std::optional<int>(2));
-  EXPECT_EQ(q.pop(), std::optional<int>(4));
-}
-
-TEST(BoundedQueue, ExtractIfOnMoveOnlyItems) {
-  BoundedQueue<std::unique_ptr<int>> q(4);
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(1)));
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(2)));
-  std::vector<std::unique_ptr<int>> out;
-  EXPECT_EQ(
-      q.extract_if([](const std::unique_ptr<int>& v) { return *v == 2; },
-                   out),
-      1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out[0], 2);
-  EXPECT_EQ(q.depth(), 1u);
-}
-
 TEST(BoundedQueue, MultiProducerHandoff) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 200;

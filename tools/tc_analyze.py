@@ -49,19 +49,6 @@ run in CI, so a violation fails the build. Rules:
                 reachable-and-clean by construction: their caches are
                 atomic CAS memos, which is what mutable-const enforces.
 
-  lock-order    The fleet scheduler's deadlock discipline (DESIGN.md
-                section 15): the tenant ownership lock (route_mutex_, the
-                steal lock) is always acquired BEFORE any shard scheduler
-                mutex (sched_mutex, guarding a shard's mailbox runs). A
-                submitter holds the route lock shared across its staging
-                push; a steal holds it exclusive across the ownership
-                flip. Acquiring the route/steal lock while a sched/
-                mailbox lock scope is open is the reverse edge of that
-                order and can deadlock against a concurrent steal. The
-                rule lexically tracks scoped-lock lifetimes (brace depth)
-                in src/svc and rejects any steal-class acquisition made
-                inside an open sched-class scope.
-
   mutable-const Every `mutable` member in src/ must be a synchronization
                 primitive, an atomic (std::atomic, util::Mutex,
                 util::SharedMutex, std::mutex, ...), or carry a
@@ -110,8 +97,7 @@ from dataclasses import dataclass, field
 # Configuration
 # --------------------------------------------------------------------------
 
-RULES = ("layers", "hot-alloc", "reader-locks", "mutable-const",
-         "lock-order")
+RULES = ("layers", "hot-alloc", "reader-locks", "mutable-const")
 
 # Allowed *additional* dependencies per layer (every layer may include
 # itself). Keep in sync with DESIGN.md section 11 and ROADMAP.md.
@@ -193,18 +179,6 @@ HOT_PATTERNS = (
     (HOT_CONTAINER_LOCAL, "local std container construction"),
     (HOT_SPATH_ALLOC, "allocating spath::dijkstra_* call (use _into)"),
 )
-
-# lock-order: scoped-lock declarations in the fleet scheduler, classified
-# by the expression they lock. The steal class (the tenant ownership /
-# route lock) must come strictly BEFORE the sched class (a shard's
-# scheduler mutex guarding its mailbox runs) — see DESIGN.md section 15.
-LOCK_ORDER_DIRS = ("src/svc",)
-LOCK_ORDER_DECL = re.compile(
-    r"\b(?:(?:tc::)?util::)?"
-    r"(?P<kind>MutexLock|SharedMutexLock|SharedReaderLock)\s+"
-    r"\w+\s*\(\s*(?P<expr>[^)]*)\)")
-LOCK_ORDER_STEAL = re.compile(r"\broute_mutex_?\b|\bsteal\w*_mutex\b")
-LOCK_ORDER_SCHED = re.compile(r"\bsched_mutex\b|\bmailbox\w*_mutex\b")
 
 # Lock acquisitions (reader-locks).
 LOCK_USE = re.compile(
@@ -692,55 +666,6 @@ def _check_callgraph(facts: Facts, rule: str,
     return violations
 
 
-def check_lock_order(facts: Facts) -> list[str]:
-    """Rejects steal-class acquisitions inside an open sched-class scope.
-
-    Lexical scope tracking: a scoped lock lives until the brace that
-    encloses its declaration closes, so the scanner keeps a stack of
-    (depth, class) acquisitions per file and flags a route/steal lock
-    taken while any sched/mailbox lock is still alive. Purely textual —
-    it sees each function on its own, which matches the discipline: no
-    function may even lexically nest the reverse edge.
-    """
-    violations = []
-    for path in facts.files:
-        rel = str(path.relative_to(facts.root))
-        if not any(rel.startswith(d + "/") for d in LOCK_ORDER_DIRS):
-            continue
-        code = facts.code[path]
-        depth = 0
-        held: list[tuple[int, str, int]] = []  # (depth, class, line)
-        for lineno, line in enumerate(code.splitlines(), 1):
-            for m in LOCK_ORDER_DECL.finditer(line):
-                expr = m.group("expr")
-                is_steal = bool(LOCK_ORDER_STEAL.search(expr))
-                is_sched = bool(LOCK_ORDER_SCHED.search(expr))
-                if is_steal:
-                    open_sched = next(
-                        (h for h in held if h[1] == "sched"), None)
-                    if open_sched is not None and not line_allowed(
-                            facts, path, lineno, "lock-order"):
-                        violations.append(
-                            f"{rel}:{lineno}: [lock-order] steal-class "
-                            f"lock ({expr.strip()}) acquired while the "
-                            f"sched-class lock taken at line "
-                            f"{open_sched[2]} is still held; the fleet's "
-                            f"lock order is route/steal BEFORE any shard "
-                            f"sched/mailbox mutex (DESIGN.md section 15) "
-                            f"— the reverse edge deadlocks against a "
-                            f"concurrent steal")
-                    held.append((depth, "steal", lineno))
-                elif is_sched:
-                    held.append((depth, "sched", lineno))
-            for c in line:
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth -= 1
-                    held = [h for h in held if h[0] <= depth]
-    return violations
-
-
 def check_hot_alloc(facts: Facts) -> list[str]:
     return _check_callgraph(
         facts, "hot-alloc", HOT_EXTRA_ROOTS, HOT_ROOT_SUFFIX,
@@ -758,7 +683,6 @@ CHECKS = {
     "hot-alloc": check_hot_alloc,
     "reader-locks": check_reader_locks,
     "mutable-const": check_mutable_const,
-    "lock-order": check_lock_order,
 }
 
 

@@ -4,9 +4,8 @@
 Each directory under tests/analyze_fixtures/ is a miniature repo root.
 `<rule>_bad` fixtures must be rejected by exactly that rule (exit 1 with
 an [<rule>] tag); `*_allowed` fixtures carry a `tc-analyze: allow(...)`
-waiver and must pass; `clean/` must pass all five rules *non-vacuously*
-(it defines real hot-path and pricing roots, and a correctly-ordered
-steal-then-sched lock nest for lock-order). The real repo root must
+waiver and must pass; `clean/` must pass all four rules *non-vacuously*
+(it defines real hot-path and pricing roots). The real repo root must
 pass every rule too.
 
 Engine selection: the internal engine always runs and is the blocking
@@ -40,10 +39,8 @@ EXPECTATIONS = {
     "hot_alloc_allowed": ("hot-alloc", None),
     "reader_locks_bad": ("reader-locks", "reader-locks"),
     "mutable_const_bad": ("mutable-const", "mutable-const"),
-    "lock_order_bad": ("lock-order", "lock-order"),
 }
-ALL_RULES = ("layers", "hot-alloc", "reader-locks", "mutable-const",
-             "lock-order")
+ALL_RULES = ("layers", "hot-alloc", "reader-locks", "mutable-const")
 
 
 def libclang_engines() -> tuple[str, ...]:
