@@ -1,10 +1,13 @@
-// Kernel throughput: allocation-free workspace kernels vs the pre-PR
-// allocating implementations.
+// Kernel throughput: allocation-free workspace kernels vs the
+// pre-workspace allocating implementations.
 //
-// Three benches, each timing a baseline replica of the old code (fresh
-// vectors / full masked Dijkstras, as shipped before the workspace layer)
-// against the current engines, asserting bit-identical results:
-//   dijkstra-node / dijkstra-link : one SPT, fresh allocation vs workspace
+// Each bench times a baseline replica of the old code (fresh vectors /
+// full masked Dijkstras on the frozen allocating loop of
+// tests/reference/dijkstra_reference.hpp, as shipped before the workspace
+// layer) against the current engines, asserting bit-identical results:
+//   dijkstra-node / dijkstra-link : one SPT, frozen allocating loop vs
+//                                   workspace; the live allocating
+//                                   wrappers must match the loop too
 //   dijkstra-node-batched / -link-batched : many roots, independent warm
 //                                   solves vs one spt_multi_into pass
 //   collusion-payment             : neighbor_resistant_payments per query
@@ -32,6 +35,7 @@
 #include "spath/batch.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
+#include "dijkstra_reference.hpp"
 #include "fast_payment_reference.hpp"
 #include "util/flags.hpp"
 
@@ -62,6 +66,14 @@ void require(bool ok, const char* what) {
   }
 }
 
+/// Bit-for-bit equality of two trees: source, memcmp on dist, parents.
+bool same_spt(const spath::SptResult& a, const spath::SptResult& b) {
+  return a.source == b.source && a.dist.size() == b.dist.size() &&
+         std::memcmp(a.dist.data(), b.dist.data(),
+                     a.dist.size() * sizeof(Cost)) == 0 &&
+         a.parent == b.parent;
+}
+
 /// Bit-for-bit equality: memcmp on path_cost and the payment vector.
 bool same_payments(const core::PaymentResult& a, const core::PaymentResult& b) {
   return a.path == b.path &&
@@ -77,7 +89,7 @@ core::PaymentResult baseline_neighbor_resistant(const graph::NodeGraph& g,
                                                 NodeId source, NodeId target) {
   core::PaymentResult result;
   result.payments.assign(g.num_nodes(), 0.0);
-  const spath::SptResult spt = spath::dijkstra_node(g, source);
+  const spath::SptResult spt = spath::reference::dijkstra_node(g, source);
   if (!spt.reached(target)) return result;
   spt.path_to_into(target, result.path);
   result.path_cost = spt.dist[target];
@@ -90,7 +102,8 @@ core::PaymentResult baseline_neighbor_resistant(const graph::NodeGraph& g,
     for (NodeId v : core::closed_neighborhood(g, k)) {
       if (v != source && v != target) mask.block(v);
     }
-    const spath::SptResult avoid = spath::dijkstra_node(g, source, mask);
+    const spath::SptResult avoid =
+        spath::reference::dijkstra_node(g, source, mask);
     const Cost avoid_cost =
         avoid.reached(target) ? avoid.dist[target] : kInfCost;
     if (!graph::finite_cost(avoid_cost)) {
@@ -106,8 +119,9 @@ core::PaymentResult baseline_neighbor_resistant(const graph::NodeGraph& g,
 core::OverpaymentResult baseline_overpayment_link(const graph::LinkGraph& g,
                                                   NodeId ap) {
   const std::size_t n = g.num_nodes();
-  const graph::LinkGraph rev = spath::reverse_graph(g);  // rebuilt per call
-  const spath::SptResult to_ap = spath::dijkstra_link(rev, ap);
+  // The old study rebuilt the reverse graph on every call.
+  const graph::LinkGraph rev = spath::reference::reverse_graph(g);
+  const spath::SptResult to_ap = spath::reference::dijkstra_link(rev, ap);
   core::OverpaymentResult result;
   std::size_t skipped = 0;
   std::size_t monopolies = 0;
@@ -116,7 +130,7 @@ core::OverpaymentResult baseline_overpayment_link(const graph::LinkGraph& g,
     if (avoid_cache[k].empty()) {
       graph::NodeMask mask(n);
       mask.block(k);
-      avoid_cache[k] = spath::dijkstra_link(rev, ap, mask).dist;
+      avoid_cache[k] = spath::reference::dijkstra_link(rev, ap, mask).dist;
     }
     return avoid_cache[k];
   };
@@ -224,7 +238,8 @@ int main(int argc, char** argv) {
 
     const double node_alloc = min_seconds_of(iters, [&] {
       for (std::size_t s = 0; s < sources; ++s) {
-        sink += spath::dijkstra_node(node_g, static_cast<NodeId>(s)).dist[n - 1];
+        sink += spath::reference::dijkstra_node(node_g, static_cast<NodeId>(s))
+                    .dist[n - 1];
       }
     });
     const double node_ws = min_seconds_of(iters, [&] {
@@ -235,13 +250,20 @@ int main(int argc, char** argv) {
         sink += ws.dist(static_cast<NodeId>(n - 1));
       }
     });
+    for (std::size_t s = 0; s < sources; ++s) {
+      const auto src = static_cast<NodeId>(s);
+      require(same_spt(spath::dijkstra_node(node_g, src),
+                       spath::reference::dijkstra_node(node_g, src)),
+              "dijkstra_node wrapper diverged from the frozen loop");
+    }
     report.add_row({"dijkstra-node", std::to_string(n), fmt_ms(node_alloc),
                     fmt_ms(node_ws), util::fmt(node_alloc / node_ws, 2),
                     std::to_string(iters)});
 
     const double link_alloc = min_seconds_of(iters, [&] {
       for (std::size_t s = 0; s < sources; ++s) {
-        sink += spath::dijkstra_link(link_g, static_cast<NodeId>(s)).dist[n - 1];
+        sink += spath::reference::dijkstra_link(link_g, static_cast<NodeId>(s))
+                    .dist[n - 1];
       }
     });
     const double link_ws = min_seconds_of(iters, [&] {
@@ -252,6 +274,12 @@ int main(int argc, char** argv) {
         sink += ws.dist(static_cast<NodeId>(n - 1));
       }
     });
+    for (std::size_t s = 0; s < sources; ++s) {
+      const auto src = static_cast<NodeId>(s);
+      require(same_spt(spath::dijkstra_link(link_g, src),
+                       spath::reference::dijkstra_link(link_g, src)),
+              "dijkstra_link wrapper diverged from the frozen loop");
+    }
     report.add_row({"dijkstra-link", std::to_string(n), fmt_ms(link_alloc),
                     fmt_ms(link_ws), util::fmt(link_alloc / link_ws, 2),
                     std::to_string(iters)});

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/fast_link_payment.hpp"
+#include "core/fast_payment.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
 #include "util/check.hpp"
@@ -76,7 +77,7 @@ EdgeVcgResult edge_vcg_payments_fast(const graph::LinkGraph& g,
   TC_CHECK_MSG(source != target, "source and target must differ");
   check_symmetric(g);
   const std::size_t n = g.num_nodes();
-  constexpr std::uint32_t kNoLevel = 0xffffffffu;
+  constexpr std::uint32_t kNoLevel = LevelLabels::kInvalidLevel;
 
   EdgeVcgResult result;
   const spath::SptResult sptS = spath::dijkstra_link(g, source);
@@ -93,25 +94,11 @@ EdgeVcgResult edge_vcg_payments_fast(const graph::LinkGraph& g,
   // Node levels: index of the last LCP node on the SPT(s) tree path.
   // Removing path edge e_l strands exactly the nodes with level > l from
   // the source side of the tree (Malik-Mittal-Gupta).
-  std::vector<std::uint32_t> path_index(n, kNoLevel);
-  for (std::uint32_t l = 0; l <= q; ++l) path_index[result.path[l]] = l;
-  std::vector<std::uint32_t> level(n, kNoLevel);
-  {
-    std::vector<std::vector<NodeId>> children(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (sptS.parent[v] != kInvalidNode) children[sptS.parent[v]].push_back(v);
-    }
-    std::vector<NodeId> stack{source};
-    level[source] = 0;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : children[u]) {
-        level[v] = path_index[v] != kNoLevel ? path_index[v] : level[u];
-        stack.push_back(v);
-      }
-    }
-  }
+  // path[level[v]] == v exactly for the LCP nodes.
+  const std::vector<NodeId>& path = result.path;
+  std::vector<std::uint32_t> level;
+  std::vector<NodeId> stack;
+  label_levels(sptS.parent, path, level, stack);
 
   // Crossing edges (a, b) with level(a) <= l < level(b) cover cut l with
   // candidate L(a) + w(a,b) + R(b). Path edges are excluded (each would
@@ -130,11 +117,9 @@ EdgeVcgResult edge_vcg_payments_fast(const graph::LinkGraph& g,
       const std::uint32_t lu = level[u];
       const std::uint32_t lv = level[arc.to];
       if (lu == kNoLevel || lv == kNoLevel || lu == lv) continue;
-      // Skip the LCP's own edges.
-      const std::uint32_t pu = path_index[u];
-      const std::uint32_t pv = path_index[arc.to];
-      if (pu != kNoLevel && pv != kNoLevel &&
-          (pu + 1 == pv || pv + 1 == pu)) {
+      // Skip the LCP's own edges: both ends on the path, one level apart.
+      if (path[lu] == u && path[lv] == arc.to &&
+          (lu + 1 == lv || lv + 1 == lu)) {
         continue;
       }
       const NodeId a = lu < lv ? u : arc.to;

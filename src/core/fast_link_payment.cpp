@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/audit_hooks.hpp"
+#include "core/fast_payment.hpp"
 #include "spath/dijkstra.hpp"
 #include "util/check.hpp"
 
@@ -35,7 +36,7 @@ PaymentResult fast_link_payments(const graph::LinkGraph& g, NodeId source,
         "link_vcg_payments for directed/asymmetric networks");
   }
   const std::size_t n = g.num_nodes();
-  constexpr std::uint32_t kNoLevel = 0xffffffffu;
+  constexpr std::uint32_t kNoLevel = LevelLabels::kInvalidLevel;
 
   PaymentResult result;
   result.payments.assign(n, 0.0);
@@ -54,31 +55,16 @@ PaymentResult fast_link_payments(const graph::LinkGraph& g, NodeId source,
   const std::vector<Cost>& R = sptT.dist;  // cost v -> t (== t -> v)
 
   // --- Levels from SPT(s). ---------------------------------------------
-  std::vector<std::uint32_t> path_index(n, kNoLevel);
-  for (std::uint32_t l = 0; l <= q; ++l) path_index[result.path[l]] = l;
-
-  std::vector<std::uint32_t> level(n, kNoLevel);
-  {
-    std::vector<std::vector<NodeId>> children(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (sptS.parent[v] != kInvalidNode) children[sptS.parent[v]].push_back(v);
-    }
-    std::vector<NodeId> stack{source};
-    level[source] = 0;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : children[u]) {
-        level[v] = path_index[v] != kNoLevel ? path_index[v] : level[u];
-        stack.push_back(v);
-      }
-    }
-  }
+  // path[level[v]] == v exactly for the LCP nodes.
+  const std::vector<NodeId>& path = result.path;
+  std::vector<std::uint32_t> level;
+  std::vector<NodeId> stack;
+  label_levels(sptS.parent, path, level, stack);
 
   std::vector<std::vector<NodeId>> nodes_at_level(q);
   for (NodeId v = 0; v < n; ++v) {
     const std::uint32_t l = level[v];
-    if (l == kNoLevel || path_index[v] != kNoLevel) continue;
+    if (l == kNoLevel || path[l] == v) continue;
     if (l >= 1 && l <= q - 1) nodes_at_level[l].push_back(v);
   }
 
@@ -110,7 +96,7 @@ PaymentResult fast_link_payments(const graph::LinkGraph& g, NodeId source,
           settled[v] = true;
           for (const Arc& a : g.out_arcs(v)) {
             const NodeId w = a.to;
-            if (level[w] != l || path_index[w] != kNoLevel) continue;
+            if (level[w] != l || path[l] == w) continue;
             if (settled[w]) continue;
             const Cost cand = dv + a.cost;
             if (cand < R_minus[w]) {

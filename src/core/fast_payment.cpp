@@ -31,6 +31,29 @@ PaymentScratch& thread_local_payment_scratch() {
 
 }  // namespace
 
+void label_levels(std::span<const NodeId> parent, std::span<const NodeId> path,
+                  std::vector<std::uint32_t>& level,
+                  std::vector<NodeId>& stack) {
+  // A memoized walk up the parent array: each node is climbed past at
+  // most once, so O(n) with no children lists.
+  const std::size_t n = parent.size();
+  level.assign(n, kUnlabelled);
+  for (std::uint32_t l = 0; l < path.size(); ++l) level[path[l]] = l;
+  for (NodeId v = 0; v < n; ++v) {
+    NodeId u = v;
+    while (level[u] == kUnlabelled && parent[u] != kInvalidNode) {
+      level[u] = kOnWalk;
+      stack.push_back(u);
+      u = parent[u];
+    }
+    TC_CHECK_MSG(level[u] != kOnWalk, "SPT parent array has a cycle");
+    // A parentless node off the LCP is not in the tree.
+    if (level[u] == kUnlabelled) level[u] = kInvalidLevel;
+    for (const NodeId w : stack) level[w] = level[u];
+    stack.clear();
+  }
+}
+
 /// The steps of Algorithm 1 on a PaymentScratch. Every value below is
 /// formed with the same operands in the same association order as the
 /// per-level textbook formulation; DESIGN.md §1.2.1 gives the argument
@@ -52,32 +75,6 @@ struct PaymentKernel {
       path.push_back(v);
     }
     std::reverse(path.begin(), path.end());
-  }
-
-  /// Step 2: level[v] = index of the last LCP node on v's SPT(s) tree
-  /// path (r_l gets l), kInvalidLevel outside the tree. A memoized walk up
-  /// the parent array: each node is climbed past at most once, so O(n)
-  /// with no children lists.
-  static void label_levels(std::span<const NodeId> parent,
-                           std::span<const NodeId> path,
-                           std::vector<std::uint32_t>& level,
-                           std::vector<NodeId>& stack) {
-    const std::size_t n = parent.size();
-    level.assign(n, kUnlabelled);
-    for (std::uint32_t l = 0; l < path.size(); ++l) level[path[l]] = l;
-    for (NodeId v = 0; v < n; ++v) {
-      NodeId u = v;
-      while (level[u] == kUnlabelled && parent[u] != kInvalidNode) {
-        level[u] = kOnWalk;
-        stack.push_back(u);
-        u = parent[u];
-      }
-      TC_CHECK_MSG(level[u] != kOnWalk, "SPT parent array has a cycle");
-      // A parentless node off the LCP is not in the tree.
-      if (level[u] == kUnlabelled) level[u] = kInvalidLevel;
-      for (const NodeId w : stack) level[w] = level[u];
-      stack.clear();
-    }
   }
 
   /// Steps 2-6 given SPT(s) (dist_s = L, parent) and SPT(t)'s dist_t = R.

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/payment.hpp"
@@ -154,6 +155,18 @@ struct LevelLabels {
   std::vector<std::uint32_t> levels;
   std::vector<graph::NodeId> path;  ///< the LCP r_0..r_q
 };
+
+/// The step-2 walk shared by every level-based engine (node and link
+/// Algorithm 1, edge-agent VCG): level[v] = index of the last `path` node
+/// on v's tree path in `parent` (path[l] gets l),
+/// LevelLabels::kInvalidLevel for nodes outside the tree.
+/// So v is on the path iff level[v] is valid and path[level[v]] == v.
+/// Overwrites `level` (resized to parent.size()); `stack` is scratch and
+/// is left empty. O(n), no allocation once both vectors have capacity.
+void label_levels(std::span<const graph::NodeId> parent,
+                  std::span<const graph::NodeId> path,
+                  std::vector<std::uint32_t>& level,
+                  std::vector<graph::NodeId>& stack);
 
 /// Computes the step-2 level labels (used by tests and by the distributed
 /// verification protocol's audit step) with the same step-1 kernel and

@@ -3,8 +3,7 @@
 // Every centralized pricing entry point — `vcg_payments_naive`,
 // `vcg_payments_fast`, `link_vcg_payments`, `fast_link_payments`,
 // `neighbor_resistant_payments`, `q_set_payments` — and the serving layer
-// (`svc::QuoteEngine`, the legacy `core::UnicastService`) returns this one
-// type with identical conventions:
+// (`svc::QuoteEngine`) returns this one type with identical conventions:
 //
 //  * Disconnected (no source->target path): `path` is empty, `path_cost`
 //    is kInfCost, and `payments` is all-zero (size = num_nodes). Engines

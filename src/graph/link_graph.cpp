@@ -49,7 +49,7 @@ LinkGraph LinkGraph::build_reverse() const {
   // Counting sort over CSR: row v of the reverse receives its in-sources
   // u in ascending order, which is exactly the (from, to)-sorted order
   // the builder would produce — so Dijkstra relaxation order (and hence
-  // parent tie-breaks) matches spath::reverse_graph bit for bit.
+  // parent tie-breaks) matches a builder-made reverse bit for bit.
   const std::size_t n = num_nodes();
   LinkGraph rev;
   rev.positions_ = positions_;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "spath/heap.hpp"
-#include "spath/pairing_heap.hpp"
+#include "spath/workspace.hpp"
 #include "util/check.hpp"
 
 namespace tc::spath {
@@ -29,102 +28,35 @@ void SptResult::path_to_into(NodeId t, std::vector<NodeId>& out) const {
 
 namespace {
 
-template <typename Heap>
-SptResult dijkstra_node_impl(const graph::NodeGraph& g, NodeId source,
-                             const graph::NodeMask& mask) {
-  const std::size_t n = g.num_nodes();
-  TC_CHECK_MSG(source < n, "dijkstra source out of range");
-  TC_CHECK_MSG(mask.allowed(source), "dijkstra source is masked out");
-
-  SptResult r;
-  r.source = source;
-  r.dist.assign(n, kInfCost);
-  r.parent.assign(n, kInvalidNode);
-
-  Heap heap(n);
-  std::vector<bool> settled(n, false);
-  r.dist[source] = 0.0;
-  heap.push_or_decrease(source, 0.0);
-
-  while (!heap.empty()) {
-    const auto [du, u] = heap.pop_min();
-    if (settled[u]) continue;
-    settled[u] = true;
-    // Expanding u makes u interior on any extension, so its own cost is
-    // charged now — except for the source, whose cost is excluded by the
-    // path-cost convention.
-    const Cost through = du + (u == source ? 0.0 : g.node_cost(u));
-    for (NodeId v : g.neighbors(u)) {
-      if (settled[v] || !mask.allowed(v)) continue;
-      if (through < r.dist[v]) {
-        r.dist[v] = through;
-        r.parent[v] = u;
-        heap.push_or_decrease(v, through);
-      }
-    }
-  }
-  return r;
+// The allocating API's own workspace: never thread_local_workspace(),
+// whose readings the caller may be holding across this call.
+DijkstraWorkspace& wrapper_workspace() {
+  thread_local DijkstraWorkspace ws;
+  return ws;
 }
 
 }  // namespace
 
 SptResult dijkstra_node(const graph::NodeGraph& g, NodeId source,
                         const graph::NodeMask& mask) {
-  return dijkstra_node_impl<BinaryHeap>(g, source, mask);
-}
-
-SptResult dijkstra_node_quad(const graph::NodeGraph& g, NodeId source,
-                             const graph::NodeMask& mask) {
-  return dijkstra_node_impl<QuadHeap>(g, source, mask);
-}
-
-SptResult dijkstra_node_pairing(const graph::NodeGraph& g, NodeId source,
-                                const graph::NodeMask& mask) {
-  return dijkstra_node_impl<PairingHeap>(g, source, mask);
+  SptResult r;
+  r.source = source;
+  r.dist.resize(g.num_nodes());
+  r.parent.resize(g.num_nodes());
+  dijkstra_node_row_into(wrapper_workspace(), g, source, r.dist, r.parent,
+                         mask);
+  return r;
 }
 
 SptResult dijkstra_link(const graph::LinkGraph& g, NodeId source,
                         const graph::NodeMask& mask) {
-  const std::size_t n = g.num_nodes();
-  TC_CHECK_MSG(source < n, "dijkstra source out of range");
-  TC_CHECK_MSG(mask.allowed(source), "dijkstra source is masked out");
-
   SptResult r;
   r.source = source;
-  r.dist.assign(n, kInfCost);
-  r.parent.assign(n, kInvalidNode);
-
-  BinaryHeap heap(n);
-  std::vector<bool> settled(n, false);
-  r.dist[source] = 0.0;
-  heap.push_or_decrease(source, 0.0);
-
-  while (!heap.empty()) {
-    const auto [du, u] = heap.pop_min();
-    if (settled[u]) continue;
-    settled[u] = true;
-    for (const graph::Arc& a : g.out_arcs(u)) {
-      if (settled[a.to] || !mask.allowed(a.to)) continue;
-      if (!graph::finite_cost(a.cost)) continue;
-      const Cost cand = du + a.cost;
-      if (cand < r.dist[a.to]) {
-        r.dist[a.to] = cand;
-        r.parent[a.to] = u;
-        heap.push_or_decrease(a.to, cand);
-      }
-    }
-  }
+  r.dist.resize(g.num_nodes());
+  r.parent.resize(g.num_nodes());
+  dijkstra_link_row_into(wrapper_workspace(), g, source, r.dist, r.parent,
+                         mask);
   return r;
-}
-
-graph::LinkGraph reverse_graph(const graph::LinkGraph& g) {
-  graph::LinkGraphBuilder b(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const graph::Arc& a : g.out_arcs(u)) {
-      b.add_arc(a.to, u, a.cost);
-    }
-  }
-  return b.build();
 }
 
 SptResult dijkstra_link_to_target(const graph::LinkGraph& g, NodeId target,

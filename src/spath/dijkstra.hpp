@@ -44,24 +44,17 @@ struct SptResult {
 
 /// Node-weighted Dijkstra from `source`, skipping masked nodes entirely
 /// (a masked node neither relays nor terminates a path). The source must
-/// be allowed by the mask.
+/// be allowed by the mask. A wrapper that sizes the result and runs
+/// dijkstra_node_row_into (workspace.hpp) on a private per-thread
+/// workspace, so readings a caller holds from thread_local_workspace()
+/// survive the call.
 [[nodiscard]] SptResult dijkstra_node(const graph::NodeGraph& g,
                                       graph::NodeId source,
                                       const graph::NodeMask& mask = {});
 
-/// As above, with heap arity 4 (for the ablation bench).
-[[nodiscard]] SptResult dijkstra_node_quad(const graph::NodeGraph& g,
-                                           graph::NodeId source,
-                                           const graph::NodeMask& mask = {});
-
-/// As above, with a pairing heap (O(1) amortized decrease-key; see
-/// bench/ablation_heaps for whether that ever pays off here).
-[[nodiscard]] SptResult dijkstra_node_pairing(const graph::NodeGraph& g,
-                                              graph::NodeId source,
-                                              const graph::NodeMask& mask = {});
-
 /// Link-weighted Dijkstra over out-arcs from `source`. Masked nodes are
-/// skipped (cannot be traversed or reached).
+/// skipped (cannot be traversed or reached). Wraps dijkstra_link_row_into
+/// the same way.
 [[nodiscard]] SptResult dijkstra_link(const graph::LinkGraph& g,
                                       graph::NodeId source,
                                       const graph::NodeMask& mask = {});
@@ -73,9 +66,6 @@ struct SptResult {
 [[nodiscard]] SptResult dijkstra_link_to_target(
     const graph::LinkGraph& g, graph::NodeId target,
     const graph::NodeMask& mask = {});
-
-/// Explicit arc-reversed copy of `g`.
-[[nodiscard]] graph::LinkGraph reverse_graph(const graph::LinkGraph& g);
 
 /// Total interior (relay) cost of a node path under graph costs; the path
 /// must be a valid node sequence (adjacency is checked in debug builds).

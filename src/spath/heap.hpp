@@ -3,8 +3,9 @@
 // Dijkstra needs decrease-key; an indexed heap (position map per node)
 // avoids the lazy-deletion duplicates of std::priority_queue. Arity is a
 // compile-time parameter: arity 4 trades deeper comparisons for fewer
-// levels and better cache behavior on large frontiers (ablation:
-// bench/ablation_heaps).
+// levels and better cache behavior on large frontiers (measured per
+// HeapKind by perfbench price-scale's spath.solve_us rows and by
+// kernel_throughput --heap).
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,9 @@
 // The classic theoretical companion to Dijkstra: O(1) amortized
 // decrease-key versus O(log n) for array heaps. On the sparse wireless
 // graphs this library targets, array heaps usually win on constants
-// (better locality, no pointer chasing); bench/ablation_heaps quantifies
-// the gap. Nodes are pool-allocated per heap instance.
+// (better locality, no pointer chasing); perfbench price-scale's
+// spath.solve_us rows quantify the gap. Nodes are pool-allocated per heap
+// instance.
 #pragma once
 
 #include <cstddef>

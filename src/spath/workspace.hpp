@@ -1,9 +1,11 @@
 // Reusable shortest-path workspace: allocation-free Dijkstra kernels.
 //
 // Every payment engine bottoms out in repeated Dijkstra runs over the same
-// graph. The allocating API (dijkstra.hpp) pays O(n) vector construction
-// and clearing per call; a DijkstraWorkspace instead owns per-node state
-// sized once per graph and reset in O(1) via epoch-stamped visitation.
+// graph. These kernels are spath's only Dijkstra: a DijkstraWorkspace owns
+// per-node state sized once per graph and reset in O(1) via epoch-stamped
+// visitation, and the allocating API (dijkstra.hpp) is a thin wrapper
+// that sizes an SptResult and runs the row kernel on a private
+// per-thread workspace.
 //
 // Memory layout (DESIGN.md §13): each node's solve state lives in one
 // 16-byte NodeLane packing {dist, parent, stamp}, so the relax inner loop
@@ -21,9 +23,10 @@
 // size-gated).
 //
 // Determinism contract: for identical (graph, source, mask, heap kind)
-// inputs, the `_into` kernels perform exactly the same heap operations and
-// floating-point additions as their allocating counterparts, so dist and
-// parent arrays are bit-for-bit identical. HeapKind::kBucket is an exact
+// inputs, the `_into` and row kernels perform exactly the same heap
+// operations and floating-point additions as the original allocating
+// loop, so dist and parent arrays are bit-identical to
+// tests/reference/dijkstra_reference.hpp. HeapKind::kBucket is an exact
 // queue with a different tie-break among equal keys: dist stays
 // bit-identical to every other heap (Dijkstra's final distances are a
 // heap-order-independent minimum over per-path cost sums accumulated left
@@ -54,11 +57,11 @@ class DijkstraWorkspace;
 class MaskedSptDelta;
 struct WorkspaceKernels;
 
-/// Heap selector for the `_into` kernels (ablation parity with the
-/// allocating dijkstra_node / _quad / _pairing family). kBucket is the
-/// monotone bucket queue (bucket_queue.hpp): bit-identical dist, but
-/// parent witnesses may differ from the comparison heaps on distance
-/// ties, so it is opt-in rather than the default.
+/// Heap selector for the `_into` and row kernels (the allocating wrappers
+/// always use kBinary). kBucket is the monotone bucket queue
+/// (bucket_queue.hpp): bit-identical dist, but parent witnesses may
+/// differ from the comparison heaps on distance ties, so it is opt-in
+/// rather than the default.
 enum class HeapKind { kBinary, kQuad, kPairing, kBucket };
 
 /// One node's solve state, packed so the relax loop touches a single
@@ -71,13 +74,14 @@ struct alignas(16) NodeLane {
 static_assert(sizeof(NodeLane) == 16, "lane must pack to one quarter line");
 
 /// Runs node-weighted Dijkstra into `ws`, replacing its previous contents.
-/// Behaves exactly like dijkstra_node{,_quad,_pairing}(g, source, mask)
-/// (same relaxation order, bit-identical dist/parent; kBucket caveat at
-/// HeapKind), but reuses the workspace's arrays: no allocation after the
-/// first run on a graph of this size. When `stop_at` is a valid node, the
-/// run terminates as soon as it settles: ws.dist(stop_at) and the parent
-/// chain to it are final, but other nodes may hold non-final tentative
-/// values (ws.complete() is false and ws.to_result() is unavailable).
+/// Same relaxation order and bit-identical dist/parent as the reference
+/// loop on the same heap (kBucket caveat at HeapKind), and as
+/// dijkstra_node(g, source, mask) for kBinary, but reuses the workspace's
+/// arrays: no allocation after the first run on a graph of this size.
+/// When `stop_at` is a valid node, the run terminates as soon as it
+/// settles: ws.dist(stop_at) and the parent chain to it are final, but
+/// other nodes may hold non-final tentative values (ws.complete() is
+/// false and ws.to_result() is unavailable).
 void dijkstra_node_into(DijkstraWorkspace& ws, const graph::NodeGraph& g,
                         graph::NodeId source, const graph::NodeMask& mask = {},
                         graph::NodeId stop_at = graph::kInvalidNode,
@@ -92,8 +96,7 @@ void dijkstra_link_into(DijkstraWorkspace& ws, const graph::LinkGraph& g,
 
 /// Reverse-graph run: ws.dist(v) = cost of the best directed path
 /// v -> target in `g`. Uses the cached g.reverse() CSR instead of
-/// rebuilding it per call (the fix for dijkstra_link_to_target's
-/// per-call reconstruction).
+/// rebuilding it per call.
 void dijkstra_link_to_target_into(DijkstraWorkspace& ws,
                                   const graph::LinkGraph& g,
                                   graph::NodeId target,
@@ -103,9 +106,9 @@ void dijkstra_link_to_target_into(DijkstraWorkspace& ws,
 
 /// Row kernels: full Dijkstra written directly into caller-owned dist /
 /// parent rows (each spanning g.num_nodes()), bit-identical to the
-/// allocating dijkstra_node / dijkstra_link — including parent witnesses,
-/// because the relax condition reads the prefilled row exactly as the
-/// allocating loop does. The workspace supplies only the heap and the
+/// reference loop — including parent witnesses, because the relax
+/// condition reads the prefilled row exactly as that loop does. The
+/// allocating dijkstra_node / dijkstra_link wrap these. The workspace supplies only the heap and the
 /// settled stamps, so the multi-source batch driver (spath/batch.hpp)
 /// solves many roots into one flat matrix with no per-root allocation.
 /// The workspace's own readings are unspecified afterward (complete() is
@@ -116,8 +119,7 @@ void dijkstra_node_row_into(DijkstraWorkspace& ws, const graph::NodeGraph& g,
                             const graph::NodeMask& mask = {},
                             HeapKind heap = HeapKind::kBinary);
 
-/// Link-weighted row kernel; mirrors dijkstra_link(g, source, mask) bit
-/// for bit into the caller's rows.
+/// Link-weighted row kernel, into the caller's rows.
 void dijkstra_link_row_into(DijkstraWorkspace& ws, const graph::LinkGraph& g,
                             graph::NodeId source, std::span<graph::Cost> dist,
                             std::span<graph::NodeId> parent,

@@ -1,6 +1,5 @@
 // QuoteEngine: concurrent sharded quote serving over epoch-versioned
-// profile snapshots — the thread-safe replacement for core::UnicastService
-// (see DESIGN.md §7 "Serving layer").
+// profile snapshots (see DESIGN.md §7 "Serving layer").
 //
 // Concurrency model
 //   * The declared-cost profile lives in an immutable ProfileSnapshot
@@ -140,8 +139,7 @@ class QuoteEngine {
   [[nodiscard]] std::optional<core::PaymentResult> quote(
       graph::NodeId source);
 
-  /// Quote for an arbitrary ordered pair. Cached and epoch-stamped, too
-  /// (unlike the legacy UnicastService::quote_pair).
+  /// Quote for an arbitrary ordered pair. Cached and epoch-stamped, too.
   [[nodiscard]] std::optional<core::PaymentResult> quote(
       graph::NodeId source, graph::NodeId target);
 

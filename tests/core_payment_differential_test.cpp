@@ -1,8 +1,9 @@
 // Differential tests pinning the rewired payment engines to the pre-PR
 // allocating implementations. Each reference below replicates the old
-// engine body verbatim on top of the allocating spath API; the live
-// engines (now built on DijkstraWorkspace + MaskedSptDelta) must agree
-// bit for bit — same payments, same metrics, same monopoly/skip counts.
+// engine body verbatim on top of the frozen allocating Dijkstra loop
+// (tests/reference/dijkstra_reference.hpp); the live engines (built on
+// DijkstraWorkspace + MaskedSptDelta) must agree bit for bit — same
+// payments, same metrics, same monopoly/skip counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "core/vcg_unicast.hpp"
 #include "graph/generators.hpp"
 #include "spath/avoiding.hpp"
+#include "dijkstra_reference.hpp"
 #include "spath/dijkstra.hpp"
 
 namespace tc::core {
@@ -40,7 +42,7 @@ PaymentResult ref_vcg_payments_naive(const graph::NodeGraph& g, NodeId source,
                                      NodeId target) {
   PaymentResult result;
   result.payments.assign(g.num_nodes(), 0.0);
-  const spath::SptResult spt = spath::dijkstra_node(g, source);
+  const spath::SptResult spt = spath::reference::dijkstra_node(g, source);
   if (!spt.reached(target)) return result;
   result.path = spt.path_to(target);
   result.path_cost = spt.dist[target];
@@ -48,7 +50,8 @@ PaymentResult ref_vcg_payments_naive(const graph::NodeGraph& g, NodeId source,
     const NodeId k = result.path[i];
     graph::NodeMask mask(g.num_nodes());
     mask.block(k);
-    const spath::SptResult avoid = spath::dijkstra_node(g, source, mask);
+    const spath::SptResult avoid =
+        spath::reference::dijkstra_node(g, source, mask);
     const Cost cost = avoid.reached(target) ? avoid.dist[target] : kInfCost;
     result.payments[k] = graph::finite_cost(cost)
                              ? cost - result.path_cost + g.node_cost(k)
@@ -61,7 +64,7 @@ PaymentResult ref_neighbor_resistant(const graph::NodeGraph& g, NodeId source,
                                      NodeId target) {
   PaymentResult result;
   result.payments.assign(g.num_nodes(), 0.0);
-  const spath::SptResult spt = spath::dijkstra_node(g, source);
+  const spath::SptResult spt = spath::reference::dijkstra_node(g, source);
   if (!spt.reached(target)) return result;
   result.path = spt.path_to(target);
   result.path_cost = spt.dist[target];
@@ -74,7 +77,8 @@ PaymentResult ref_neighbor_resistant(const graph::NodeGraph& g, NodeId source,
     for (NodeId v : closed_neighborhood(g, k)) {
       if (v != source && v != target) mask.block(v);
     }
-    const spath::SptResult avoid = spath::dijkstra_node(g, source, mask);
+    const spath::SptResult avoid =
+        spath::reference::dijkstra_node(g, source, mask);
     const Cost avoid_cost =
         avoid.reached(target) ? avoid.dist[target] : kInfCost;
     if (!graph::finite_cost(avoid_cost)) {
@@ -91,7 +95,7 @@ PaymentResult ref_link_vcg(const graph::LinkGraph& g, NodeId source,
                            NodeId target) {
   PaymentResult result;
   result.payments.assign(g.num_nodes(), 0.0);
-  const spath::SptResult spt = spath::dijkstra_link(g, source);
+  const spath::SptResult spt = spath::reference::dijkstra_link(g, source);
   if (!spt.reached(target)) return result;
   result.path = spt.path_to(target);
   result.path_cost = spt.dist[target];
@@ -99,7 +103,8 @@ PaymentResult ref_link_vcg(const graph::LinkGraph& g, NodeId source,
     const NodeId k = result.path[i];
     graph::NodeMask mask(g.num_nodes());
     mask.block(k);
-    const spath::SptResult avoid = spath::dijkstra_link(g, source, mask);
+    const spath::SptResult avoid =
+        spath::reference::dijkstra_link(g, source, mask);
     const Cost avoid_cost =
         avoid.reached(target) ? avoid.dist[target] : kInfCost;
     if (!graph::finite_cost(avoid_cost)) {
@@ -115,7 +120,7 @@ PaymentResult ref_link_vcg(const graph::LinkGraph& g, NodeId source,
 EdgeVcgResult ref_edge_vcg_naive(const graph::LinkGraph& g, NodeId source,
                                  NodeId target) {
   EdgeVcgResult result;
-  const spath::SptResult spt = spath::dijkstra_link(g, source);
+  const spath::SptResult spt = spath::reference::dijkstra_link(g, source);
   if (!spt.reached(target)) return result;
   result.path = spt.path_to(target);
   result.path_cost = spt.dist[target];
@@ -126,7 +131,8 @@ EdgeVcgResult ref_edge_vcg_naive(const graph::LinkGraph& g, NodeId source,
     const Cost w = g.arc_cost(u, v);
     work.set_arc_cost(u, v, kInfCost);
     work.set_arc_cost(v, u, kInfCost);
-    const spath::SptResult detour = spath::dijkstra_link(work, source);
+    const spath::SptResult detour =
+        spath::reference::dijkstra_link(work, source);
     work.set_arc_cost(u, v, w);
     work.set_arc_cost(v, u, w);
     EdgePayment payment;
@@ -201,11 +207,11 @@ OverpaymentResult ref_study_from_tree(std::size_t n, NodeId ap,
 }
 
 OverpaymentResult ref_overpayment_node(const graph::NodeGraph& g, NodeId ap) {
-  const spath::SptResult to_ap = spath::dijkstra_node(g, ap);
+  const spath::SptResult to_ap = spath::reference::dijkstra_node(g, ap);
   auto avoid_dist = [&](NodeId k) {
     graph::NodeMask mask(g.num_nodes());
     mask.block(k);
-    return spath::dijkstra_node(g, ap, mask).dist;
+    return spath::reference::dijkstra_node(g, ap, mask).dist;
   };
   auto relay_charge = [&](NodeId k) { return g.node_cost(k); };
   auto source_own = [](NodeId) { return 0.0; };
@@ -214,12 +220,12 @@ OverpaymentResult ref_overpayment_node(const graph::NodeGraph& g, NodeId ap) {
 }
 
 OverpaymentResult ref_overpayment_link(const graph::LinkGraph& g, NodeId ap) {
-  const graph::LinkGraph rev = spath::reverse_graph(g);
-  const spath::SptResult to_ap = spath::dijkstra_link(rev, ap);
+  const graph::LinkGraph rev = spath::reference::reverse_graph(g);
+  const spath::SptResult to_ap = spath::reference::dijkstra_link(rev, ap);
   auto avoid_dist = [&](NodeId k) {
     graph::NodeMask mask(g.num_nodes());
     mask.block(k);
-    return spath::dijkstra_link(rev, ap, mask).dist;
+    return spath::reference::dijkstra_link(rev, ap, mask).dist;
   };
   auto relay_charge = [&](NodeId k) { return g.arc_cost(k, to_ap.parent[k]); };
   auto source_own = [&](NodeId i) {
@@ -244,13 +250,13 @@ TransitResult ref_transit(const graph::NodeGraph& g,
       }
     }
     if (!any_flow) continue;
-    const spath::SptResult to_j = spath::dijkstra_node(g, j);
+    const spath::SptResult to_j = spath::reference::dijkstra_node(g, j);
     std::vector<std::vector<Cost>> avoid_cache(n);
     auto avoid_for = [&](NodeId k) -> const std::vector<Cost>& {
       if (avoid_cache[k].empty()) {
         graph::NodeMask mask(n);
         mask.block(k);
-        avoid_cache[k] = spath::dijkstra_node(g, j, mask).dist;
+        avoid_cache[k] = spath::reference::dijkstra_node(g, j, mask).dist;
       }
       return avoid_cache[k];
     };

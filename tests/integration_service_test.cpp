@@ -1,4 +1,4 @@
-// Integration: the deployment facade against the distributed protocol and
+// Integration: the serving engine against the distributed protocol and
 // the payment engines on generated topologies.
 #include <gtest/gtest.h>
 
@@ -6,11 +6,11 @@
 
 #include "core/fast_link_payment.hpp"
 #include "core/link_vcg.hpp"
-#include "core/service.hpp"
 #include "core/transit.hpp"
 #include "distsim/session.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "svc/quote_engine.hpp"
 
 namespace tc {
 namespace {
@@ -22,12 +22,12 @@ TEST(IntegrationService, QuotesAgreeWithDistributedProtocol) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto g = graph::make_erdos_renyi(18, 0.3, 0.5, 5.0, seed);
     if (!graph::is_connected(g)) continue;
-    core::UnicastService service(g, 0);
+    svc::QuoteEngine engine(g, 0);
     distsim::SessionConfig config;
     config.spt_mode = distsim::SptMode::kVerified;
     config.payment_mode = distsim::PaymentMode::kVerified;
     for (NodeId s = 1; s < g.num_nodes(); s += 4) {
-      const auto quote = service.quote(s);
+      const auto quote = engine.quote(s);
       ASSERT_TRUE(quote.has_value());
       if (std::isinf(quote->total_payment())) continue;
       const auto session = distsim::run_session(g, 0, g.costs(), s, config);
@@ -56,7 +56,7 @@ TEST(IntegrationService, RedeclarationPropagatesToTransitStudy) {
 
 TEST(IntegrationService, FastEnginesAgreeOnPaperTopology) {
   // All three payment views of the same symmetric UDG instance line up:
-  // link naive == link fast, and the service's node-model quote uses the
+  // link naive == link fast, and the engine's node-model quote uses the
   // same routes.
   graph::UdgParams params;
   params.n = 90;
@@ -80,15 +80,15 @@ TEST(IntegrationService, FastEnginesAgreeOnPaperTopology) {
 }
 
 TEST(IntegrationService, SchemeUpgradeCostsMore) {
-  // Switching a service from VCG to the collusion-resistant scheme can
+  // Switching an engine from VCG to the collusion-resistant pricer can
   // only raise (never lower) each relay's price — the price of stronger
   // incentives.
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const auto g = graph::make_erdos_renyi(14, 0.5, 0.5, 4.0, seed);
     if (!graph::is_biconnected(g) || !graph::neighborhood_removal_safe(g))
       continue;
-    core::UnicastService vcg(g, 0, core::PricingScheme::kVcg);
-    core::UnicastService nbr(g, 0, core::PricingScheme::kNeighborResistant);
+    svc::QuoteEngine vcg(g, 0);
+    svc::QuoteEngine nbr(g, 0, svc::make_neighbor_resistant_pricer());
     for (NodeId s = 1; s < g.num_nodes(); ++s) {
       const auto a = vcg.quote(s);
       const auto b = nbr.quote(s);

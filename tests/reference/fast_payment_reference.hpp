@@ -1,11 +1,13 @@
 // Frozen reference for Algorithm 1 (node model): the payment engine as it
 // stood before the allocation-free core, kept verbatim so differential
 // tests and the kernel_throughput bench can pin the live engine to it bit
-// for bit. Step 1 runs the allocating spath::dijkstra_node twice; steps
-// 2-5 build children lists, per-level std::priority_queues and a
-// crossing-edge heap. The edits: the functions are inline, the old
-// from-scratch overload's out-pointers default to null, and the debug
-// payment audit is dropped (this is an oracle, not an engine).
+// for bit. Step 1 runs the frozen allocating Dijkstra loop
+// (dijkstra_reference.hpp) twice; steps 2-5 build children lists,
+// per-level std::priority_queues and a crossing-edge heap. The edits: the
+// functions are inline, the old from-scratch overload's out-pointers
+// default to null, step 1 calls the frozen loop instead of the live
+// spath::dijkstra_node, and the debug payment audit is dropped (this is
+// an oracle, not an engine).
 // Do not optimize this file; its value is that it does not change.
 #pragma once
 
@@ -16,6 +18,7 @@
 
 #include "core/fast_payment.hpp"
 #include "core/payment.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/node_graph.hpp"
 #include "spath/dijkstra.hpp"
 #include "util/check.hpp"
@@ -40,7 +43,7 @@ inline std::vector<std::vector<NodeId>> tree_children(
 /// The old step-2 labelling: a top-down DFS over the children lists.
 [[nodiscard]] inline LevelLabels compute_levels(const graph::NodeGraph& g,
                                                NodeId source, NodeId target) {
-  const spath::SptResult sptS = spath::dijkstra_node(g, source);
+  const spath::SptResult sptS = spath::reference::dijkstra_node(g, source);
   LevelLabels out;
   out.levels.assign(g.num_nodes(), LevelLabels::kInvalidLevel);
   if (!sptS.reached(target)) return out;
@@ -254,14 +257,14 @@ inline std::vector<std::vector<NodeId>> tree_children(
   TC_CHECK_MSG(source != target, "source and target must differ");
 
   // --- Step 1: SPTs and the LCP. -------------------------------------
-  spath::SptResult sptS = spath::dijkstra_node(g, source);
+  spath::SptResult sptS = spath::reference::dijkstra_node(g, source);
   if (!sptS.reached(target)) {
     PaymentResult result;
     result.payments.assign(g.num_nodes(), 0.0);
     if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);
     return result;
   }
-  spath::SptResult sptT = spath::dijkstra_node(g, target);
+  spath::SptResult sptT = spath::reference::dijkstra_node(g, target);
   PaymentResult result =
       fast_payments_from_spts(g, source, target, sptS, sptT);
   if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "graph/generators.hpp"
+#include "spath/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace tc::spath {
 namespace {
 
+using graph::Cost;
 using graph::kInfCost;
+using graph::kInvalidNode;
 using graph::NodeId;
 
 TEST(DijkstraNode, PathCostExcludesEndpoints) {
@@ -79,7 +83,9 @@ TEST(DijkstraNode, QuadHeapAgrees) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto g = graph::make_erdos_renyi(60, 0.1, 0.1, 9.0, seed);
     const SptResult a = dijkstra_node(g, 0);
-    const SptResult b = dijkstra_node_quad(g, 0);
+    DijkstraWorkspace ws;
+    dijkstra_node_into(ws, g, 0, {}, kInvalidNode, HeapKind::kQuad);
+    const SptResult b = ws.to_result();
     for (NodeId v = 0; v < 60; ++v) {
       if (a.reached(v)) {
         EXPECT_NEAR(a.dist[v], b.dist[v], 1e-12);
@@ -177,10 +183,61 @@ TEST(PathCosts, ArcCostOfBrokenPathInfinite) {
 TEST(ReverseGraph, ArcsFlipped) {
   graph::LinkGraphBuilder b(3);
   b.add_arc(0, 1, 2.0).add_arc(1, 2, 3.0);
-  const auto rev = reverse_graph(b.build());
+  const auto g = b.build();
+  const auto& rev = g.reverse();
   EXPECT_DOUBLE_EQ(rev.arc_cost(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(rev.arc_cost(2, 1), 3.0);
   EXPECT_TRUE(std::isinf(rev.arc_cost(0, 1)));
+}
+
+// The wrappers run on their own per-thread workspace: a caller holding
+// thread_local_workspace() readings across them keeps those readings.
+TEST(DijkstraWrapper, LeavesThreadLocalWorkspaceReadings) {
+  const auto g = graph::make_erdos_renyi(40, 0.12, 0.5, 4.0, 21);
+  DijkstraWorkspace& ws = thread_local_workspace();
+  dijkstra_node_into(ws, g, 3);
+  std::vector<Cost> dist(g.num_nodes());
+  std::vector<NodeId> parent(g.num_nodes());
+  std::vector<std::vector<NodeId>> paths(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    dist[v] = ws.dist(v);
+    parent[v] = ws.parent(v);
+    paths[v] = ws.path_to(v);
+  }
+
+  const auto other = graph::make_erdos_renyi(70, 0.1, 0.5, 4.0, 22);
+  graph::HeteroParams params;
+  params.n = 60;
+  const auto link = graph::make_hetero_geometric(params, 23);
+  (void)dijkstra_node(other, 5);
+  (void)dijkstra_link(link, 7);
+  (void)dijkstra_link_to_target(link, 2);
+
+  ASSERT_EQ(ws.size(), g.num_nodes());
+  EXPECT_EQ(ws.source(), 3u);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const Cost now = ws.dist(v);
+    EXPECT_EQ(std::memcmp(&now, &dist[v], sizeof(Cost)), 0) << "node " << v;
+    EXPECT_EQ(ws.parent(v), parent[v]) << "node " << v;
+    EXPECT_EQ(ws.path_to(v), paths[v]) << "node " << v;
+  }
+}
+
+// Both wrappers reject a bad source before touching any state.
+TEST(DijkstraWrapperDeathTest, OutOfRangeSource) {
+  const auto g = graph::make_path(4, 1.0);
+  const auto lg = graph::to_link_graph(g);
+  EXPECT_DEATH((void)dijkstra_node(g, 4), "source out of range");
+  EXPECT_DEATH((void)dijkstra_link(lg, 9), "source out of range");
+}
+
+TEST(DijkstraWrapperDeathTest, MaskedOutSource) {
+  const auto g = graph::make_path(4, 1.0);
+  const auto lg = graph::to_link_graph(g);
+  graph::NodeMask mask(4);
+  mask.block(2);
+  EXPECT_DEATH((void)dijkstra_node(g, 2, mask), "source is masked out");
+  EXPECT_DEATH((void)dijkstra_link(lg, 2, mask), "source is masked out");
 }
 
 }  // namespace

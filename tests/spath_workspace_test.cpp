@@ -1,6 +1,7 @@
-// Differential tests for the allocation-free workspace kernels: every
-// `_into` run, batch driver, and MaskedSptDelta evaluation must be
-// bit-identical to the allocating reference implementation.
+// Differential tests for the spath kernels: every `_into` run, row run,
+// allocating wrapper, batch driver, and MaskedSptDelta evaluation must be
+// bit-identical to the frozen allocating loop in
+// tests/reference/dijkstra_reference.hpp.
 #include "spath/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "dijkstra_reference.hpp"
 #include "graph/generators.hpp"
 #include "spath/avoiding.hpp"
 #include "spath/batch.hpp"
@@ -52,20 +54,83 @@ graph::NodeMask random_mask(std::size_t n, NodeId source, std::uint64_t seed) {
   return mask;
 }
 
+// The heaps whose parent witnesses match the reference loop exactly
+// (kBucket is checked dist-only below).
+constexpr HeapKind kExactHeaps[] = {HeapKind::kBinary, HeapKind::kQuad,
+                                    HeapKind::kPairing};
+
+SptResult reference_node(const graph::NodeGraph& g, NodeId source,
+                         const graph::NodeMask& mask, HeapKind heap) {
+  switch (heap) {
+    case HeapKind::kQuad:
+      return reference::dijkstra_node_quad(g, source, mask);
+    case HeapKind::kPairing:
+      return reference::dijkstra_node_pairing(g, source, mask);
+    default:
+      return reference::dijkstra_node(g, source, mask);
+  }
+}
+
+SptResult reference_link(const graph::LinkGraph& g, NodeId source,
+                         const graph::NodeMask& mask, HeapKind heap) {
+  switch (heap) {
+    case HeapKind::kQuad:
+      return reference::dijkstra_link_impl<QuadHeap>(g, source, mask);
+    case HeapKind::kPairing:
+      return reference::dijkstra_link_impl<PairingHeap>(g, source, mask);
+    default:
+      return reference::dijkstra_link_impl<BinaryHeap>(g, source, mask);
+  }
+}
+
+SptResult sized_result(NodeId source, std::size_t n) {
+  SptResult r;
+  r.source = source;
+  r.dist.resize(n);
+  r.parent.resize(n);
+  return r;
+}
+
+// The `_into` kernel, the row kernel and (for the binary heap it uses) the
+// allocating wrapper, each against the reference loop on the same heap.
+void expect_node_kernels_match(DijkstraWorkspace& ws,
+                               const graph::NodeGraph& g, NodeId source,
+                               const graph::NodeMask& mask, HeapKind heap) {
+  SCOPED_TRACE(testing::Message() << "heap " << static_cast<int>(heap));
+  const SptResult want = reference_node(g, source, mask, heap);
+  dijkstra_node_into(ws, g, source, mask, kInvalidNode, heap);
+  expect_same_spt(ws.to_result(), want);
+  SptResult row = sized_result(source, g.num_nodes());
+  dijkstra_node_row_into(ws, g, source, row.dist, row.parent, mask, heap);
+  expect_same_spt(row, want);
+  if (heap == HeapKind::kBinary) {
+    expect_same_spt(dijkstra_node(g, source, mask), want);
+  }
+}
+
+void expect_link_kernels_match(DijkstraWorkspace& ws,
+                               const graph::LinkGraph& g, NodeId source,
+                               const graph::NodeMask& mask, HeapKind heap) {
+  SCOPED_TRACE(testing::Message() << "heap " << static_cast<int>(heap));
+  const SptResult want = reference_link(g, source, mask, heap);
+  dijkstra_link_into(ws, g, source, mask, kInvalidNode, heap);
+  expect_same_spt(ws.to_result(), want);
+  SptResult row = sized_result(source, g.num_nodes());
+  dijkstra_link_row_into(ws, g, source, row.dist, row.parent, mask, heap);
+  expect_same_spt(row, want);
+  if (heap == HeapKind::kBinary) {
+    expect_same_spt(dijkstra_link(g, source, mask), want);
+  }
+}
+
 TEST(WorkspaceDifferential, NodeAllHeapsMatchAllocating) {
   DijkstraWorkspace ws;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const auto g = random_node_graph(seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
-
-    dijkstra_node_into(ws, g, source);
-    expect_same_spt(ws.to_result(), dijkstra_node(g, source));
-
-    dijkstra_node_into(ws, g, source, {}, kInvalidNode, HeapKind::kQuad);
-    expect_same_spt(ws.to_result(), dijkstra_node_quad(g, source));
-
-    dijkstra_node_into(ws, g, source, {}, kInvalidNode, HeapKind::kPairing);
-    expect_same_spt(ws.to_result(), dijkstra_node_pairing(g, source));
+    for (const HeapKind heap : kExactHeaps) {
+      expect_node_kernels_match(ws, g, source, {}, heap);
+    }
   }
 }
 
@@ -75,8 +140,9 @@ TEST(WorkspaceDifferential, NodeMaskedMatchesAllocating) {
     const auto g = random_node_graph(seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
     const graph::NodeMask mask = random_mask(g.num_nodes(), source, seed * 7);
-    dijkstra_node_into(ws, g, source, mask);
-    expect_same_spt(ws.to_result(), dijkstra_node(g, source, mask));
+    for (const HeapKind heap : kExactHeaps) {
+      expect_node_kernels_match(ws, g, source, mask, heap);
+    }
   }
 }
 
@@ -87,13 +153,11 @@ TEST(WorkspaceDifferential, LinkMatchesAllocating) {
     params.n = 50;
     const auto g = graph::make_hetero_geometric(params, seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
-
-    dijkstra_link_into(ws, g, source);
-    expect_same_spt(ws.to_result(), dijkstra_link(g, source));
-
     const graph::NodeMask mask = random_mask(g.num_nodes(), source, seed * 3);
-    dijkstra_link_into(ws, g, source, mask);
-    expect_same_spt(ws.to_result(), dijkstra_link(g, source, mask));
+    for (const HeapKind heap : kExactHeaps) {
+      expect_link_kernels_match(ws, g, source, {}, heap);
+      expect_link_kernels_match(ws, g, source, mask, heap);
+    }
   }
 }
 
@@ -104,8 +168,10 @@ TEST(WorkspaceDifferential, LinkToTargetMatchesAllocating) {
     params.n = 50;
     const auto g = graph::make_hetero_geometric(params, seed);
     const NodeId target = static_cast<NodeId>(seed % g.num_nodes());
+    const SptResult want = reference::dijkstra_link_to_target(g, target);
     dijkstra_link_to_target_into(ws, g, target);
-    expect_same_spt(ws.to_result(), dijkstra_link_to_target(g, target));
+    expect_same_spt(ws.to_result(), want);
+    expect_same_spt(dijkstra_link_to_target(g, target), want);
   }
 }
 
@@ -117,7 +183,7 @@ TEST(WorkspaceDifferential, EarlyStopSettlesTarget) {
     const NodeId source = static_cast<NodeId>(seed % n);
     const NodeId target = static_cast<NodeId>((seed * 31) % n);
     if (source == target) continue;
-    const SptResult full = dijkstra_node(g, source);
+    const SptResult full = reference::dijkstra_node(g, source);
 
     dijkstra_node_into(ws, g, source, {}, /*stop_at=*/target);
     ASSERT_EQ(ws.reached(target), full.reached(target));
@@ -136,14 +202,14 @@ TEST(Workspace, ReuseAcrossGraphSizes) {
   for (const std::size_t n : {50u, 200u, 10u, 120u}) {
     const auto g = graph::make_erdos_renyi(n, 0.1, 0.1, 9.0, n);
     dijkstra_node_into(ws, g, 0);
-    expect_same_spt(ws.to_result(), dijkstra_node(g, 0));
+    expect_same_spt(ws.to_result(), reference::dijkstra_node(g, 0));
   }
 }
 
 TEST(Workspace, EpochWraparoundStaysCorrect) {
   DijkstraWorkspace ws;
   const auto g = random_node_graph(5);
-  const SptResult want = dijkstra_node(g, 0);
+  const SptResult want = reference::dijkstra_node(g, 0);
   dijkstra_node_into(ws, g, 0);  // leaves stale stamps behind
   ws.debug_set_epoch(0xffffffffu - 1);
   for (int run = 0; run < 4; ++run) {  // crosses the wraparound clear
@@ -167,7 +233,7 @@ TEST(MaskedSptDelta, NodeSingleRemovalMatchesFullMaskedRun) {
     const auto g = random_node_graph(seed);
     const std::size_t n = g.num_nodes();
     const NodeId source = static_cast<NodeId>(seed % n);
-    const SptResult base = dijkstra_node(g, source);
+    const SptResult base = reference::dijkstra_node(g, source);
     SptChildren children;
     children.build(base);
     MaskedSptDelta delta(g, base, children, ws);
@@ -176,7 +242,7 @@ TEST(MaskedSptDelta, NodeSingleRemovalMatchesFullMaskedRun) {
       if (k == source) continue;
       graph::NodeMask mask(n);
       mask.block(k);
-      const SptResult want = dijkstra_node(g, source, mask);
+      const SptResult want = reference::dijkstra_node(g, source, mask);
       delta.eval_one(k);
       delta.dist_into(got);
       expect_bits_equal(got, want.dist);
@@ -191,7 +257,7 @@ TEST(MaskedSptDelta, NodeMultiRemovalMatchesFullMaskedRun) {
     const auto g = random_node_graph(seed);
     const std::size_t n = g.num_nodes();
     const NodeId source = static_cast<NodeId>(seed % n);
-    const SptResult base = dijkstra_node(g, source);
+    const SptResult base = reference::dijkstra_node(g, source);
     SptChildren children;
     children.build(base);
     MaskedSptDelta delta(g, base, children, ws);
@@ -209,7 +275,7 @@ TEST(MaskedSptDelta, NodeMultiRemovalMatchesFullMaskedRun) {
         mask.block(v);
       }
       if (removed.empty()) continue;
-      const SptResult want = dijkstra_node(g, source, mask);
+      const SptResult want = reference::dijkstra_node(g, source, mask);
       delta.eval(removed);
       std::vector<Cost> got;
       delta.dist_into(got);
@@ -233,7 +299,7 @@ TEST(MaskedSptDelta, LinkRemovalMatchesFullMaskedRun) {
     const auto g = graph::make_hetero_geometric(params, seed);
     const std::size_t n = g.num_nodes();
     const NodeId source = static_cast<NodeId>(seed % n);
-    const SptResult base = dijkstra_link(g, source);
+    const SptResult base = reference::dijkstra_link(g, source);
     SptChildren children;
     children.build(base);
     MaskedSptDelta delta(g, g.reverse(), base, children, ws);
@@ -242,7 +308,7 @@ TEST(MaskedSptDelta, LinkRemovalMatchesFullMaskedRun) {
       if (k == source) continue;
       graph::NodeMask mask(n);
       mask.block(k);
-      const SptResult want = dijkstra_link(g, source, mask);
+      const SptResult want = reference::dijkstra_link(g, source, mask);
       delta.eval_one(k);
       delta.dist_into(got);
       expect_bits_equal(got, want.dist);
@@ -259,7 +325,7 @@ TEST(MaskedSptDelta, ReverseRunUsesForwardGraphAsInArcs) {
     params.n = 40;
     const auto g = graph::make_hetero_geometric(params, seed);
     const graph::LinkGraph& rev = g.reverse();
-    const SptResult base = dijkstra_link(rev, 0);
+    const SptResult base = reference::dijkstra_link(rev, 0);
     SptChildren children;
     children.build(base);
     MaskedSptDelta delta(rev, g, base, children, ws);
@@ -267,7 +333,7 @@ TEST(MaskedSptDelta, ReverseRunUsesForwardGraphAsInArcs) {
     for (NodeId k = 1; k < g.num_nodes(); ++k) {
       graph::NodeMask mask(g.num_nodes());
       mask.block(k);
-      const SptResult want = dijkstra_link(rev, 0, mask);
+      const SptResult want = reference::dijkstra_link(rev, 0, mask);
       delta.eval_one(k);
       delta.dist_into(got);
       expect_bits_equal(got, want.dist);
@@ -306,7 +372,7 @@ TEST(Batch, SptBatchParallelMatchesSerial) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_same_spt(parallel[i], serial[i]);
-    expect_same_spt(serial[i], dijkstra_node(g, sources[i]));
+    expect_same_spt(serial[i], reference::dijkstra_node(g, sources[i]));
   }
 }
 
@@ -374,7 +440,7 @@ TEST(BucketDifferential, NodeDistMatchesBinary) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const auto g = random_node_graph(seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
-    const SptResult ref = dijkstra_node(g, source);
+    const SptResult ref = reference::dijkstra_node(g, source);
 
     dijkstra_node_into(ws, g, source, {}, kInvalidNode, HeapKind::kBucket);
     const SptResult got = ws.to_result();
@@ -389,7 +455,7 @@ TEST(BucketDifferential, NodeMaskedDistMatchesBinary) {
     const auto g = random_node_graph(seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
     const graph::NodeMask mask = random_mask(g.num_nodes(), source, seed * 7);
-    const SptResult ref = dijkstra_node(g, source, mask);
+    const SptResult ref = reference::dijkstra_node(g, source, mask);
 
     dijkstra_node_into(ws, g, source, mask, kInvalidNode, HeapKind::kBucket);
     const SptResult got = ws.to_result();
@@ -405,7 +471,7 @@ TEST(BucketDifferential, LinkDistMatchesBinary) {
     params.n = 50;
     const auto g = graph::make_hetero_geometric(params, seed);
     const NodeId source = static_cast<NodeId>(seed % g.num_nodes());
-    const SptResult ref = dijkstra_link(g, source);
+    const SptResult ref = reference::dijkstra_link(g, source);
 
     dijkstra_link_into(ws, g, source, {}, kInvalidNode, HeapKind::kBucket);
     const SptResult got = ws.to_result();
@@ -413,7 +479,7 @@ TEST(BucketDifferential, LinkDistMatchesBinary) {
     expect_valid_link_tree(g, got);
 
     const graph::NodeMask mask = random_mask(g.num_nodes(), source, seed * 3);
-    const SptResult mref = dijkstra_link(g, source, mask);
+    const SptResult mref = reference::dijkstra_link(g, source, mask);
     dijkstra_link_into(ws, g, source, mask, kInvalidNode, HeapKind::kBucket);
     const SptResult mgot = ws.to_result();
     expect_bits_equal(mgot.dist, mref.dist);
@@ -429,7 +495,7 @@ TEST(BucketDifferential, EarlyStopSettlesTarget) {
     const NodeId source = static_cast<NodeId>(seed % n);
     const NodeId target = static_cast<NodeId>((seed * 31) % n);
     if (source == target) continue;
-    const SptResult full = dijkstra_node(g, source);
+    const SptResult full = reference::dijkstra_node(g, source);
 
     dijkstra_node_into(ws, g, source, {}, target, HeapKind::kBucket);
     ASSERT_EQ(ws.reached(target), full.reached(target));
@@ -454,7 +520,7 @@ TEST(Batch, SptMultiIntoMatchesIndependentSolves) {
     ASSERT_EQ(m.num_roots(), roots.size());
     for (std::size_t i = 0; i < roots.size(); ++i) {
       EXPECT_EQ(m.source(i), roots[i]);
-      expect_same_spt(m.to_result(i), dijkstra_node(g, roots[i]));
+      expect_same_spt(m.to_result(i), reference::dijkstra_node(g, roots[i]));
     }
 
     const graph::NodeMask mask = random_mask(n, roots[0], seed * 11);
@@ -464,14 +530,15 @@ TEST(Batch, SptMultiIntoMatchesIndependentSolves) {
     }
     spt_multi_into(ws, m, g, allowed, mask);
     for (std::size_t i = 0; i < allowed.size(); ++i) {
-      expect_same_spt(m.to_result(i), dijkstra_node(g, allowed[i], mask));
+      expect_same_spt(m.to_result(i),
+                      reference::dijkstra_node(g, allowed[i], mask));
     }
 
     // kBucket rows: bit-identical dist, witness-valid parents.
     spt_multi_into(ws, m, g, roots, {}, HeapKind::kBucket);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const SptResult got = m.to_result(i);
-      expect_bits_equal(got.dist, dijkstra_node(g, roots[i]).dist);
+      expect_bits_equal(got.dist, reference::dijkstra_node(g, roots[i]).dist);
       expect_valid_node_tree(g, got);
     }
   }
@@ -489,13 +556,13 @@ TEST(Batch, SptMultiIntoLinkMatchesIndependentSolves) {
 
     spt_multi_into(ws, m, g, roots);
     for (std::size_t i = 0; i < roots.size(); ++i) {
-      expect_same_spt(m.to_result(i), dijkstra_link(g, roots[i]));
+      expect_same_spt(m.to_result(i), reference::dijkstra_link(g, roots[i]));
     }
 
     spt_multi_into(ws, m, g, roots, {}, HeapKind::kBucket);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const SptResult got = m.to_result(i);
-      expect_bits_equal(got.dist, dijkstra_link(g, roots[i]).dist);
+      expect_bits_equal(got.dist, reference::dijkstra_link(g, roots[i]).dist);
       expect_valid_link_tree(g, got);
     }
   }
@@ -525,7 +592,8 @@ TEST(Batch, ForEachMaskedSptParallelMatchesSerial) {
     expect_bits_equal(parallel[i], serial[i]);
     graph::NodeMask mask(n);
     mask.block(static_cast<NodeId>(i + 1));
-    expect_bits_equal(serial[i], dijkstra_node(g, source, mask).dist);
+    expect_bits_equal(serial[i],
+                      reference::dijkstra_node(g, source, mask).dist);
   }
 }
 

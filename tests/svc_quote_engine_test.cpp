@@ -12,7 +12,6 @@
 #include "core/fast_payment.hpp"
 #include "core/link_vcg.hpp"
 #include "core/neighbor_collusion.hpp"
-#include "core/service.hpp"
 #include "graph/generators.hpp"
 #include "mech/invariants.hpp"
 #include "util/rng.hpp"
@@ -177,16 +176,18 @@ TEST(QuoteEngine, BulkDeclarationFullFlushes) {
 }
 
 TEST(QuoteEngine, QuoteAllMatchesLegacyService) {
+  // The legacy single-threaded service priced every source with
+  // vcg_payments_fast on its own copy of the profile.
   const auto g = graph::make_unit_disk_node({48, {1500.0, 1500.0}, 400.0, 2.0},
                                             1.0, 10.0, /*seed=*/11);
   QuoteEngine engine(g, 0);
-  core::UnicastService service(g, 0);
   const auto fresh = engine.quote_all();
-  const auto legacy = service.quote_all();
-  ASSERT_EQ(fresh.size(), legacy.size());
-  for (std::size_t v = 0; v < fresh.size(); ++v) {
-    ASSERT_EQ(fresh[v].has_value(), legacy[v].has_value()) << "node " << v;
-    if (fresh[v]) expect_same_quote(*fresh[v], *legacy[v]);
+  ASSERT_EQ(fresh.size(), g.num_nodes());
+  EXPECT_FALSE(fresh[0].has_value());
+  for (NodeId v = 1; v < g.num_nodes(); ++v) {
+    const auto legacy = core::vcg_payments_fast(g, v, 0);
+    ASSERT_EQ(fresh[v].has_value(), legacy.connected()) << "node " << v;
+    if (fresh[v]) expect_same_quote(*fresh[v], legacy);
   }
 }
 

@@ -135,7 +135,7 @@ NET_DRAW = re.compile(
 # Allocating Dijkstra entry points; the `_into` workspace kernels do not
 # match (the regex requires "(" right after the bare name).
 SPATH_ALLOC_CALL = re.compile(
-    r"\bspath::dijkstra_(?:node|node_quad|node_pairing|link|link_to_target)"
+    r"\bspath::dijkstra_(?:node|link|link_to_target)"
     r"\s*\("
 )
 LOOP_KEYWORD = re.compile(r"\b(?:for|while)\s*\(")
