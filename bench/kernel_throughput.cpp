@@ -15,6 +15,11 @@
 //   fast-payment                  : vcg_payments_fast per source, against
 //                                   the frozen pre-workspace Algorithm 1
 //                                   (tests/reference), memcmp-equal
+//   fast-link-payment / edge-vcg-fast : fast_link_payments and
+//                                   edge_vcg_payments_fast per source on
+//                                   the link UDG, against the frozen
+//                                   heap-sweep engines (tests/reference),
+//                                   memcmp-equal
 // --heap=binary|quad|pairing|bucket selects the workspace-side queue for
 // the dijkstra rows (kBucket: bit-identical dist, own parent tie-break).
 // Run with --json BENCH_kernels.json to refresh the committed numbers.
@@ -28,6 +33,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/edge_vcg.hpp"
+#include "core/fast_link_payment.hpp"
 #include "core/fast_payment.hpp"
 #include "core/neighbor_collusion.hpp"
 #include "core/overpayment.hpp"
@@ -37,6 +44,7 @@
 #include "spath/workspace.hpp"
 #include "dijkstra_reference.hpp"
 #include "fast_payment_reference.hpp"
+#include "link_payment_reference.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -81,6 +89,26 @@ bool same_payments(const core::PaymentResult& a, const core::PaymentResult& b) {
          a.payments.size() == b.payments.size() &&
          std::memcmp(a.payments.data(), b.payments.data(),
                      a.payments.size() * sizeof(Cost)) == 0;
+}
+
+/// Bit-for-bit equality of two edge-agent results.
+bool same_edge_payments(const core::EdgeVcgResult& a,
+                        const core::EdgeVcgResult& b) {
+  if (a.path != b.path ||
+      std::memcmp(&a.path_cost, &b.path_cost, sizeof(Cost)) != 0 ||
+      a.payments.size() != b.payments.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.payments.size(); ++i) {
+    const core::EdgePayment& x = a.payments[i];
+    const core::EdgePayment& y = b.payments[i];
+    if (x.u != y.u || x.v != y.v ||
+        std::memcmp(&x.declared, &y.declared, sizeof(Cost)) != 0 ||
+        std::memcmp(&x.payment, &y.payment, sizeof(Cost)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // --- pre-PR baselines (replicas of the old engine bodies) ------------------
@@ -387,6 +415,49 @@ int main(int argc, char** argv) {
     }
     report.add_row({"fast-payment", std::to_string(n), fmt_ms(pay_base),
                     fmt_ms(pay_ws), util::fmt(pay_base / pay_ws, 2),
+                    std::to_string(iters)});
+
+    // -- Algorithm 1 on symmetric link costs, node and edge agents -------
+    const double link_pay_base = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        ref_pays[i] = core::reference::fast_link_payments(
+            link_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    const double link_pay_ws = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        fast_pays[i] = core::fast_link_payments(
+            link_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    for (std::size_t i = 0; i < sources; ++i) {
+      require(same_payments(ref_pays[i], fast_pays[i]),
+              "link payments diverged from the frozen reference");
+    }
+    report.add_row({"fast-link-payment", std::to_string(n),
+                    fmt_ms(link_pay_base), fmt_ms(link_pay_ws),
+                    util::fmt(link_pay_base / link_pay_ws, 2),
+                    std::to_string(iters)});
+
+    std::vector<core::EdgeVcgResult> ref_edges(sources), fast_edges(sources);
+    const double edge_base = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        ref_edges[i] = core::reference::edge_vcg_payments_fast(
+            link_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    const double edge_ws = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < sources; ++i) {
+        fast_edges[i] = core::edge_vcg_payments_fast(
+            link_g, static_cast<NodeId>(i), pay_target);
+      }
+    });
+    for (std::size_t i = 0; i < sources; ++i) {
+      require(same_edge_payments(ref_edges[i], fast_edges[i]),
+              "edge-agent payments diverged from the frozen reference");
+    }
+    report.add_row({"edge-vcg-fast", std::to_string(n), fmt_ms(edge_base),
+                    fmt_ms(edge_ws), util::fmt(edge_base / edge_ws, 2),
                     std::to_string(iters)});
 
     if (sink == 12345.6789) std::cerr << "";  // keep the sink live

@@ -11,7 +11,9 @@
 // formulation, and its Algorithm 1 borrows the machinery of
 // Hershberger-Suri's fast *edge* replacement-path algorithm — which is
 // implemented here: all on-path edge payments in one O(n log n + m) pass
-// over an undirected edge-weighted graph.
+// over an undirected edge-weighted graph. That pass is the edge-agent
+// mode of Algorithm 1's kernel (fast_payment.hpp, DESIGN.md §1.2.1) with
+// link costs: the same step-1 rows, step-2 levels and range-min tree.
 //
 // Representation: a symmetric LinkGraph (arc costs equal both ways); the
 // agent for link {u, v} is the undirected edge.
@@ -50,12 +52,13 @@ struct EdgeVcgResult {
                                                     graph::NodeId target);
 
 /// Hershberger-Suri fast engine: all replacement paths D_{G-e}(s,t) for
-/// path edges e in one pass. Edge levels are simpler than Algorithm 1's
-/// node levels: every node is assigned the index of the last path edge on
-/// its SPT(s) tree path, and each non-tree edge (a, b) covers the path
-/// edges strictly between level(a) and level(b); a sweep with a min-heap
-/// yields each removed edge's best detour. Identical output to the naive
-/// engine (differential-tested).
+/// path edges e in one pass. Every node gets Algorithm 1's level (the
+/// index of the last LCP node on its SPT(s) tree path); removing path
+/// edge e_l cuts levels <= l from levels > l, so each non-LCP edge (a, b)
+/// with level(a) < level(b) is a detour for e_level(a) .. e_level(b)-1.
+/// One scan min-stamps every such edge onto a range-min tree over levels,
+/// whose leaf l is e_l's best detour. Requires symmetric arc costs
+/// (checked). Identical output to the naive engine (differential-tested).
 [[nodiscard]] EdgeVcgResult edge_vcg_payments_fast(const graph::LinkGraph& g,
                                                    graph::NodeId source,
                                                    graph::NodeId target);

@@ -11,6 +11,14 @@
 // all vertex-replacement paths in a directed graph subquadratically is a
 // long-standing open problem. For asymmetric inputs use
 // link_vcg_payments (naive per-relay Dijkstra).
+//
+// There is no separate link engine: fast_link_payments checks symmetry
+// and runs Algorithm 1's kernel (fast_payment.hpp, DESIGN.md §1.2.1)
+// instantiated with the link cost policy, where a hop u-v costs w(u,v)
+// instead of the relay's node cost. It shares the node engine's fused
+// scan, restricted Dijkstra, range-min tree and thread-local scratch,
+// and is bit-identical to the heap-sweep engine it replaced (pinned by
+// tests/core_link_payment_bits_test.cpp).
 #pragma once
 
 #include "core/payment.hpp"

@@ -6,12 +6,14 @@
 #include <vector>
 
 #include "core/audit_hooks.hpp"
+#include "core/edge_vcg.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
 #include "util/check.hpp"
 
 namespace tc::core {
 
+using graph::Arc;
 using graph::Cost;
 using graph::kInfCost;
 using graph::kInvalidNode;
@@ -28,6 +30,143 @@ PaymentScratch& thread_local_payment_scratch() {
   thread_local PaymentScratch scratch;
   return scratch;
 }
+
+/// Range-min tree over path levels, leaf width + l for level l:
+/// min-stamps `value` onto every level in [first, last).
+void stamp_levels(Cost* tree, std::size_t width, std::size_t first,
+                  std::size_t last, Cost value) {
+  for (std::size_t a = width + first, b = width + last; a < b;
+       a >>= 1, b >>= 1) {
+    if ((a & 1) != 0) {
+      tree[a] = std::min(tree[a], value);
+      ++a;
+    }
+    if ((b & 1) != 0) {
+      --b;
+      tree[b] = std::min(tree[b], value);
+    }
+  }
+}
+
+/// The cheapest value stamped over level l.
+Cost stamped_at(const Cost* tree, std::size_t width, std::size_t l) {
+  Cost best = kInfCost;
+  for (std::size_t p = width + l; p >= 1; p >>= 1) {
+    best = std::min(best, tree[p]);
+  }
+  return best;
+}
+
+// How a hop is priced: the one difference between the node-cost model
+// (Section III.B: an interior relay v costs c_v) and the symmetric
+// link-cost model (Section III.F: a hop u-v costs w(u,v) = w(v,u)). The
+// kernel is instantiated with one of the two; each method is the exact
+// expression the per-level textbook formulation of that model evaluates,
+// so both instantiations keep its association order (DESIGN.md §1.2.1).
+// In every method v is the node being scanned and `hop` leads to w.
+
+struct NodeCosts {
+  using Graph = graph::NodeGraph;
+
+  static void solve_row(spath::DijkstraWorkspace& ws, const Graph& g,
+                        NodeId root, std::span<Cost> dist,
+                        std::span<NodeId> parent) {
+    spath::dijkstra_node_row_into(ws, g, root, dist, parent);
+  }
+  static std::span<const NodeId> hops(const Graph& g, NodeId v) {
+    return g.neighbors(v);
+  }
+  static NodeId head(NodeId w) { return w; }
+
+  /// Precomputes lc = L(v) + c_v and cr = c_v + R(v) into the buffers.
+  NodeCosts(const Graph& g, NodeId s, NodeId t, std::span<const Cost> L,
+            std::span<const Cost> R, std::vector<Cost>& lc_buf,
+            std::vector<Cost>& cr_buf)
+      : cost(g.costs().data()), dist_t(R.data()), source(s), target(t) {
+    const std::size_t n = g.num_nodes();
+    lc_buf.resize(n);
+    cr_buf.resize(n);
+    Cost* const lc_out = lc_buf.data();
+    Cost* const cr_out = cr_buf.data();
+    for (NodeId v = 0; v < n; ++v) {
+      lc_out[v] = L[v] + interior(v);
+      cr_out[v] = interior(v) + R[v];
+    }
+    lc = lc_out;
+    cr = cr_out;
+  }
+
+  /// A node's cost when it is interior on a candidate path; the
+  /// endpoints' own costs are excluded by the path-cost convention.
+  Cost interior(NodeId v) const {
+    return (v == source || v == target) ? 0.0 : cost[v];
+  }
+  /// Into v from a lower-level neighbor w: L(w) + c_w.
+  Cost from_lower(NodeId w) const { return lc[w]; }
+  /// Out of v to a higher-level neighbor w: c_w + R(w).
+  Cost to_higher(NodeId w) const { return cr[w]; }
+  /// Crossing edge v-w, v the lower level: L(v) + c_v + c_w + R(w).
+  Cost crossing(NodeId v, NodeId w) const {
+    return lc[v] + interior(w) + dist_t[w];
+  }
+  /// Restricted Dijkstra: settled v at R^{-l}(v) = d offers its
+  /// neighbors leave(v, d) then via(..., hop): c_v + d.
+  Cost leave(NodeId v, Cost d) const { return cost[v] + d; }
+  static Cost via(Cost through, NodeId /*w*/) { return through; }
+  /// Step 4 through settled member v: enter(low(v), v) + R^{-l}(v).
+  Cost enter(Cost low, NodeId v) const { return low + cost[v]; }
+  /// The declared cost relay path[l] is paid on top of its step-6 term.
+  Cost own(const Graph& /*g*/, const NodeId* path, std::uint32_t l) const {
+    return cost[path[l]];
+  }
+
+  const Cost* cost;
+  const Cost* dist_t;
+  const Cost* lc = nullptr;
+  const Cost* cr = nullptr;
+  NodeId source;
+  NodeId target;
+};
+
+struct LinkCosts {
+  using Graph = graph::LinkGraph;
+
+  static void solve_row(spath::DijkstraWorkspace& ws, const Graph& g,
+                        NodeId root, std::span<Cost> dist,
+                        std::span<NodeId> parent) {
+    spath::dijkstra_link_row_into(ws, g, root, dist, parent);
+  }
+  static std::span<const Arc> hops(const Graph& g, NodeId v) {
+    return g.out_arcs(v);
+  }
+  static NodeId head(const Arc& a) { return a.to; }
+
+  LinkCosts(const Graph& /*g*/, NodeId /*s*/, NodeId /*t*/,
+            std::span<const Cost> L, std::span<const Cost> R,
+            std::vector<Cost>& /*lc_buf*/, std::vector<Cost>& /*cr_buf*/)
+      : dist_s(L.data()), dist_t(R.data()) {}
+
+  /// L(w) + w(v,w).
+  Cost from_lower(const Arc& a) const { return dist_s[a.to] + a.cost; }
+  /// w(v,w) + R(w).
+  Cost to_higher(const Arc& a) const { return a.cost + dist_t[a.to]; }
+  /// L(v) + w(v,w) + R(w).
+  Cost crossing(NodeId v, const Arc& a) const {
+    return dist_s[v] + a.cost + dist_t[a.to];
+  }
+  /// R^{-l}(v) + w(v,w).
+  static Cost leave(NodeId /*v*/, Cost d) { return d; }
+  static Cost via(Cost through, const Arc& a) { return through + a.cost; }
+  /// min_u (L(u) + w(u,v)) + R^{-l}(v).
+  static Cost enter(Cost low, NodeId /*v*/) { return low; }
+  /// The forwarding arc path[l] -> path[l+1].
+  static Cost own(const Graph& g, const NodeId* path, std::uint32_t l) {
+    return g.arc_cost(path[l], path[l + 1]);
+  }
+
+  const Cost* dist_s;
+  const Cost* dist_t;
+};
 
 }  // namespace
 
@@ -54,20 +193,13 @@ void label_levels(std::span<const NodeId> parent, std::span<const NodeId> path,
   }
 }
 
-/// The steps of Algorithm 1 on a PaymentScratch. Every value below is
-/// formed with the same operands in the same association order as the
-/// per-level textbook formulation; DESIGN.md §1.2.1 gives the argument
-/// that the fused passes therefore produce bit-identical payments.
+/// The steps of Algorithm 1 on a PaymentScratch, for node agents under
+/// either cost model and for edge agents under link costs. Every value
+/// below is formed with the same operands in the same association order
+/// as the per-level textbook formulation; DESIGN.md §1.2.1 gives the
+/// argument that the fused passes therefore produce bit-identical
+/// payments.
 struct PaymentKernel {
-  /// Step 1 for one root, into caller-owned rows.
-  static void solve_spt_row(PaymentScratch& s, const graph::NodeGraph& g,
-                            NodeId root, std::vector<Cost>& dist,
-                            std::vector<NodeId>& parent) {
-    dist.resize(g.num_nodes());
-    parent.resize(g.num_nodes());
-    spath::dijkstra_node_row_into(s.ws_, g, root, dist, parent);
-  }
-
   /// The LCP r_0..r_q: the tree path to a reached target.
   static void lcp_into(std::span<const NodeId> parent, NodeId target,
                        std::vector<NodeId>& path) {
@@ -77,10 +209,34 @@ struct PaymentKernel {
     std::reverse(path.begin(), path.end());
   }
 
-  /// Steps 2-6 given SPT(s) (dist_s = L, parent) and SPT(t)'s dist_t = R.
-  static void price_from_spts(PaymentScratch& s, const graph::NodeGraph& g,
-                              NodeId source, NodeId target,
-                              std::span<const Cost> dist_s,
+  static void check_endpoints(std::size_t n, NodeId source, NodeId target) {
+    TC_CHECK_MSG(source != target, "source and target must differ");
+    TC_CHECK_MSG(source < n && target < n, "endpoint out of range");
+  }
+
+  /// Step 1: SPT(s) into the scratch rows, and SPT(t) when s reaches t.
+  template <class Costs>
+  static void solve_trees(PaymentScratch& s, const typename Costs::Graph& g,
+                          NodeId source, NodeId target) {
+    const std::size_t n = g.num_nodes();
+    s.tree_source_ = source;
+    s.tree_target_ = target;
+    s.dist_s_.resize(n);
+    s.parent_s_.resize(n);
+    Costs::solve_row(s.ws_, g, source, s.dist_s_, s.parent_s_);
+    if (graph::finite_cost(s.dist_s_[target])) {
+      s.dist_t_.resize(n);
+      s.parent_t_.resize(n);
+      Costs::solve_row(s.ws_, g, target, s.dist_t_, s.parent_t_);
+    }
+  }
+
+  /// Steps 2-6 for node agents given SPT(s) (dist_s = L, parent) and
+  /// SPT(t)'s dist_t = R.
+  template <class Costs>
+  static void price_from_spts(PaymentScratch& s,
+                              const typename Costs::Graph& g, NodeId source,
+                              NodeId target, std::span<const Cost> dist_s,
                               std::span<const NodeId> parent,
                               std::span<const Cost> dist_t,
                               PaymentResult& out) {
@@ -100,29 +256,16 @@ struct PaymentKernel {
     label_levels(parent, out.path, s.level_, s.stack_);
     const std::uint32_t* const level = s.level_.data();
     const NodeId* const path = out.path.data();
-    const Cost* const cost = g.costs().data();
-    // A node's cost when it is interior on a candidate path; the
-    // endpoints' own costs are excluded by the path-cost convention.
-    const auto interior = [&](NodeId v) -> Cost {
-      return (v == source || v == target) ? 0.0 : cost[v];
-    };
-    s.lc_.resize(n);
-    s.cr_.resize(n);
-    Cost* const lc = s.lc_.data();
-    Cost* const cr = s.cr_.data();
-    for (NodeId v = 0; v < n; ++v) {
-      lc[v] = dist_s[v] + interior(v);
-      cr[v] = interior(v) + dist_t[v];
-    }
+    const Costs costs(g, source, target, dist_s, dist_t, s.lc_, s.cr_);
 
     // --- Fused scan (steps 3-5 inputs). --------------------------------
     // Off-path nodes of levels 1..q-1 are the step-3 members. For each:
     //  * R^{-l}(v) is seeded from higher-level neighbors w, whose R(w)
-    //    already avoids r_l (Lemma 2): min c_w + R(w);
-    //  * low(v) = min L(u) + c_u over lower-level neighbors u, the best
-    //    way into v from the source side (step 4).
+    //    already avoids r_l (Lemma 2): min over hops v-w to the target;
+    //  * low(v) = min over lower-level neighbors u of the best way from
+    //    the source into v via u (step 4).
     // Every edge (a, b) with level(a) + 2 <= level(b) crosses the levels
-    // strictly between; its value L(a)+c_a+c_b+R(b) is min-stamped onto
+    // strictly between; its path value through a-b is min-stamped onto
     // that level range in a range-min tree (step 5), whose leaf l ends up
     // holding the cheapest path that jumps over r_l.
     s.r_minus_.resize(n);
@@ -142,27 +285,20 @@ struct PaymentKernel {
       if (!member && lv + 2 > q) continue;  // no work from v
       Cost seed = kInfCost;
       Cost lo = kInfCost;
-      for (const NodeId w : g.neighbors(v)) {
+      for (const auto& hop : Costs::hops(g, v)) {
+        const NodeId w = Costs::head(hop);
         const std::uint32_t lw = level[w];
         if (lw == kInvalidLevel || lw == lv) continue;
         if (lw < lv) {
-          lo = std::min(lo, lc[w]);
+          lo = std::min(lo, costs.from_lower(hop));
           continue;
         }
-        seed = std::min(seed, cr[w]);
-        if (lw < lv + 2 || !graph::finite_cost(dist_t[w])) continue;
-        const Cost value = lc[v] + interior(w) + dist_t[w];
-        for (std::size_t a = width + lv + 1, b = width + lw; a < b;
-             a >>= 1, b >>= 1) {
-          if ((a & 1) != 0) {
-            cross[a] = std::min(cross[a], value);
-            ++a;
-          }
-          if ((b & 1) != 0) {
-            --b;
-            cross[b] = std::min(cross[b], value);
-          }
+        seed = std::min(seed, costs.to_higher(hop));
+        // Few edges skip a level; keep the stamp off the scan's hot path.
+        if (lw < lv + 2 || !graph::finite_cost(dist_t[w])) [[likely]] {
+          continue;
         }
+        stamp_levels(cross, width, lv + 1, lw, costs.crossing(v, hop));
       }
       if (!member) continue;
       r_minus[v] = seed;
@@ -178,9 +314,7 @@ struct PaymentKernel {
     Cost* const avoid = s.avoid_.data();
     std::uint32_t open_levels = 0;
     for (std::uint32_t l = 1; l < q; ++l) {
-      for (std::size_t p = width + l; p >= 1; p >>= 1) {
-        avoid[l] = std::min(avoid[l], cross[p]);
-      }
+      avoid[l] = stamped_at(cross, width, l);
       if (graph::finite_cost(min_low[l])) {
         s.open_[l] = 1;
         ++open_levels;
@@ -190,7 +324,7 @@ struct PaymentKernel {
     // --- Steps 3 and 4: one restricted Dijkstra for all levels. --------
     // Relaxation stays within a level, so the levels never interact and
     // one heap serves them all. A settled member's candidate is
-    // (low(v) + c_v) + R^{-l}(v). Keys pop in nondecreasing order, and
+    // enter(low(v), v) + R^{-l}(v). Keys pop in nondecreasing order, and
     // every later level-l candidate is at least min_low[l] + d; once that
     // reaches avoid[l], level l can no longer improve and is closed.
     while (open_levels > 0 && !s.heap_.empty()) {
@@ -202,24 +336,75 @@ struct PaymentKernel {
         --open_levels;
         continue;
       }
-      avoid[l] = std::min(avoid[l], low[v] + cost[v] + d);
-      const Cost through = cost[v] + d;
+      avoid[l] = std::min(avoid[l], costs.enter(low[v], v) + d);
+      const Cost through = costs.leave(v, d);
       const NodeId r_l = path[l];
-      for (const NodeId w : g.neighbors(v)) {
+      for (const auto& hop : Costs::hops(g, v)) {
+        const NodeId w = Costs::head(hop);
         if (level[w] != l || w == r_l) continue;
-        if (through < r_minus[w]) {
-          r_minus[w] = through;
-          s.heap_.push_or_decrease(w, through);
+        const Cost cand = costs.via(through, hop);
+        if (cand < r_minus[w]) {
+          r_minus[w] = cand;
+          s.heap_.push_or_decrease(w, cand);
         }
       }
     }
 
     // --- Step 6: payments. ---------------------------------------------
     for (std::uint32_t l = 1; l < q; ++l) {
-      const NodeId r_l = path[l];
-      out.payments[r_l] = graph::finite_cost(avoid[l])
-                              ? avoid[l] - out.path_cost + cost[r_l]
-                              : kInfCost;
+      out.payments[path[l]] = graph::finite_cost(avoid[l])
+                                  ? avoid[l] - out.path_cost +
+                                        costs.own(g, path, l)
+                                  : kInfCost;
+    }
+  }
+
+  /// Edge agents under link costs: removing LCP edge e_l = (r_l, r_{l+1})
+  /// cuts the levels <= l off from the levels > l, so its best detour is
+  /// the cheapest non-LCP edge (a, b) with level(a) <= l < level(b).
+  /// Only the range-min tree is needed, over levels [level(a),
+  /// level(b) - 1].
+  static void price_edges(PaymentScratch& s, const graph::LinkGraph& g,
+                          NodeId source, NodeId target, EdgeVcgResult& out) {
+    out.path.clear();
+    out.payments.clear();
+    out.path_cost = kInfCost;
+    if (!graph::finite_cost(s.dist_s_[target])) return;
+    lcp_into(s.parent_s_, target, out.path);
+    out.path_cost = s.dist_s_[target];
+    const auto q = static_cast<std::uint32_t>(out.path.size() - 1);
+
+    label_levels(s.parent_s_, out.path, s.level_, s.stack_);
+    const std::uint32_t* const level = s.level_.data();
+    const NodeId* const path = out.path.data();
+    const LinkCosts costs(g, source, target, s.dist_s_, s.dist_t_, s.lc_,
+                          s.cr_);
+    const std::size_t width = std::bit_ceil(std::size_t{q});
+    s.cross_.assign(2 * width, kInfCost);
+    Cost* const cross = s.cross_.data();
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const std::uint32_t lv = level[v];
+      if (lv == kInvalidLevel) continue;
+      const bool on_path = path[lv] == v;
+      for (const Arc& hop : g.out_arcs(v)) {
+        const std::uint32_t lw = level[hop.to];
+        if (lw == kInvalidLevel || lw <= lv) continue;
+        if (on_path && lw == lv + 1 && path[lw] == hop.to) continue;
+        if (!graph::finite_cost(s.dist_t_[hop.to])) continue;
+        stamp_levels(cross, width, lv, lw, costs.crossing(v, hop));
+      }
+    }
+
+    for (std::uint32_t l = 0; l < q; ++l) {
+      EdgePayment payment;
+      payment.u = path[l];
+      payment.v = path[l + 1];
+      payment.declared = LinkCosts::own(g, path, l);
+      const Cost detour = stamped_at(cross, width, l);
+      payment.payment = graph::finite_cost(detour)
+                            ? detour - out.path_cost + payment.declared
+                            : kInfCost;
+      out.payments.push_back(payment);
     }
   }
 
@@ -228,7 +413,9 @@ struct PaymentKernel {
                                   const graph::NodeGraph& g, NodeId source,
                                   NodeId target) {
     TC_CHECK_MSG(target < g.num_nodes(), "endpoint out of range");
-    solve_spt_row(s, g, source, s.dist_s_, s.parent_s_);
+    s.dist_s_.resize(g.num_nodes());
+    s.parent_s_.resize(g.num_nodes());
+    NodeCosts::solve_row(s.ws_, g, source, s.dist_s_, s.parent_s_);
     LevelLabels out;
     if (!graph::finite_cost(s.dist_s_[target])) {
       out.levels.assign(g.num_nodes(), kInvalidLevel);
@@ -245,20 +432,13 @@ struct PaymentKernel {
                             const spath::SptResult* spt_target,
                             PaymentResult& out) {
     const std::size_t n = g.num_nodes();
-    TC_CHECK_MSG(source != target, "source and target must differ");
-    TC_CHECK_MSG(source < n && target < n, "endpoint out of range");
+    check_endpoints(n, source, target);
     TC_CHECK_MSG((spt_source == nullptr) == (spt_target == nullptr),
                  "pass both trees or neither");
     if (spt_source == nullptr) {
-      // --- Step 1: SPTs into the scratch rows. -------------------------
-      s.tree_source_ = source;
-      s.tree_target_ = target;
-      solve_spt_row(s, g, source, s.dist_s_, s.parent_s_);
-      if (graph::finite_cost(s.dist_s_[target])) {
-        solve_spt_row(s, g, target, s.dist_t_, s.parent_t_);
-      }
-      price_from_spts(s, g, source, target, s.dist_s_, s.parent_s_,
-                      s.dist_t_, out);
+      solve_trees<NodeCosts>(s, g, source, target);
+      price_from_spts<NodeCosts>(s, g, source, target, s.dist_s_,
+                                 s.parent_s_, s.dist_t_, out);
       return;
     }
     TC_CHECK_MSG(spt_source->source == source &&
@@ -271,8 +451,25 @@ struct PaymentKernel {
                        spt_target->parent.size() == n,
                    "SPT(t) does not match the target or the graph size");
     }
-    price_from_spts(s, g, source, target, spt_source->dist,
-                    spt_source->parent, spt_target->dist, out);
+    price_from_spts<NodeCosts>(s, g, source, target, spt_source->dist,
+                               spt_source->parent, spt_target->dist, out);
+  }
+
+  static void link_payments_into(PaymentScratch& s, const graph::LinkGraph& g,
+                                 NodeId source, NodeId target,
+                                 PaymentResult& out) {
+    check_endpoints(g.num_nodes(), source, target);
+    solve_trees<LinkCosts>(s, g, source, target);
+    price_from_spts<LinkCosts>(s, g, source, target, s.dist_s_, s.parent_s_,
+                               s.dist_t_, out);
+  }
+
+  static void edge_payments_into(PaymentScratch& s, const graph::LinkGraph& g,
+                                 NodeId source, NodeId target,
+                                 EdgeVcgResult& out) {
+    check_endpoints(g.num_nodes(), source, target);
+    solve_trees<LinkCosts>(s, g, source, target);
+    price_edges(s, g, source, target, out);
   }
 };
 
@@ -292,6 +489,22 @@ void fast_payments_into(PaymentScratch& scratch, const graph::NodeGraph& g,
   PaymentKernel::payments_into(scratch, g, source, target, spt_source,
                                spt_target, out);
 }
+
+namespace internal {
+
+void link_payments_into(const graph::LinkGraph& g, NodeId source,
+                        NodeId target, PaymentResult& out) {
+  PaymentKernel::link_payments_into(thread_local_payment_scratch(), g, source,
+                                    target, out);
+}
+
+void edge_payments_into(const graph::LinkGraph& g, NodeId source,
+                        NodeId target, EdgeVcgResult& out) {
+  PaymentKernel::edge_payments_into(thread_local_payment_scratch(), g, source,
+                                    target, out);
+}
+
+}  // namespace internal
 
 LevelLabels compute_levels(const graph::NodeGraph& g, NodeId source,
                            NodeId target) {

@@ -23,13 +23,20 @@
 //  6. p^{r_l} = ||P_{-r_l}|| - ||P|| + d_{r_l}.
 //
 // Engine layout (DESIGN.md §1.2.1): everything runs in one allocation-free
-// core, fast_payments_into, on a reusable PaymentScratch. Step 1 uses the
-// spath row kernels; step 2 is a memoized walk up the parent array; one
-// scan over the adjacency seeds step 3, collects step 4's lower-level
-// entries and folds every crossing edge of step 5 into a range-min tree;
-// one early-stopping restricted Dijkstra serves every level of steps 3
-// and 4. Payments are bit-for-bit those of the textbook per-level
-// formulation (pinned by tests/core_fast_payment_bits_test.cpp).
+// kernel on a reusable PaymentScratch. Step 1 uses the spath row kernels;
+// step 2 is a memoized walk up the parent array; one scan over the
+// adjacency seeds step 3, collects step 4's lower-level entries and folds
+// every crossing edge of step 5 into a range-min tree; one early-stopping
+// restricted Dijkstra serves every level of steps 3 and 4. Payments are
+// bit-for-bit those of the textbook per-level formulation (pinned by
+// tests/core_fast_payment_bits_test.cpp).
+//
+// The same kernel prices the symmetric link-cost model (Section III.F):
+// it is instantiated with a compile-time cost policy that says how a hop
+// is priced, node cost c_v or arc cost w(u,v). fast_link_payments (node
+// agents, fast_link_payment.hpp) and edge_vcg_payments_fast (edge agents,
+// edge_vcg.hpp; only the range-min tree) wrap its link instantiation
+// through internal::link_payments_into / internal::edge_payments_into.
 //
 // Differential-tested against vcg_payments_naive on thousands of random
 // instances (tests/core_fast_payment_test.cpp).
@@ -40,6 +47,7 @@
 #include <vector>
 
 #include "core/payment.hpp"
+#include "graph/link_graph.hpp"
 #include "graph/node_graph.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/heap.hpp"
@@ -48,14 +56,15 @@
 namespace tc::core {
 
 struct PaymentKernel;
+struct EdgeVcgResult;
 
 /// Reusable working state of Algorithm 1: the step-1 rows, the per-node
 /// arrays of steps 2-4, the per-level arrays and one indexed heap. Every
 /// array is grow-only, so pricing allocates nothing after the first call
 /// on a graph of a given size. Owns its own DijkstraWorkspace: readings a
 /// caller holds from spath::thread_local_workspace() survive a pricing
-/// call. Not thread-safe; use one per thread (vcg_payments_fast keeps a
-/// thread-local one).
+/// call. Not thread-safe; use one per thread (vcg_payments_fast and the
+/// link engines share a thread-local one).
 class PaymentScratch {
  public:
   PaymentScratch() = default;
@@ -83,8 +92,9 @@ class PaymentScratch {
   // Step 2: levels, and the walk's stack.
   std::vector<std::uint32_t> level_;
   std::vector<graph::NodeId> stack_;
-  // Per node: L(v) + c_v, c_v + R(v), R^{-l}(v) (tentative until
-  // settled), and low(v) = min L(u) + c_u over lower-level neighbors.
+  // Per node: L(v) + c_v and c_v + R(v) (node costs only), R^{-l}(v)
+  // (tentative until settled), and low(v), the best way into v from a
+  // lower-level neighbor.
   std::vector<graph::Cost> lc_;
   std::vector<graph::Cost> cr_;
   std::vector<graph::Cost> r_minus_;
@@ -113,6 +123,19 @@ void fast_payments_into(PaymentScratch& scratch, const graph::NodeGraph& g,
                         const spath::SptResult* spt_source,
                         const spath::SptResult* spt_target,
                         PaymentResult& out);
+
+namespace internal {
+
+/// The link-cost instantiations of the kernel, on the calling thread's
+/// PaymentScratch: node-agent payments (as fast_link_payments) and
+/// edge-agent payments (as edge_vcg_payments_fast). The link costs must be
+/// symmetric; the public wrappers check that and throw.
+void link_payments_into(const graph::LinkGraph& g, graph::NodeId source,
+                        graph::NodeId target, PaymentResult& out);
+void edge_payments_into(const graph::LinkGraph& g, graph::NodeId source,
+                        graph::NodeId target, EdgeVcgResult& out);
+
+}  // namespace internal
 
 /// Computes the LCP and all VCG payments in O(n log n + m). Interprets the
 /// graph's stored node costs as the declared vector d. Identical output to

@@ -1,26 +1,11 @@
 #include "spath/batch.hpp"
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tc::spath {
 
 using graph::Cost;
 using graph::NodeId;
-
-namespace {
-
-/// Runs body(i) for all i, on the pool when given, inline otherwise.
-void drive(std::size_t count, util::ThreadPool* pool,
-           const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
-
-}  // namespace
 
 SptResult SptMatrix::to_result(std::size_t i) const {
   TC_DCHECK(i < num_roots());
@@ -65,36 +50,6 @@ void spt_multi_into(DijkstraWorkspace& ws, SptMatrix& m,
   }
 }
 
-std::vector<SptResult> spt_batch(const graph::NodeGraph& g,
-                                 std::span<const NodeId> sources,
-                                 util::ThreadPool* pool) {
-  const std::size_t n = g.num_nodes();
-  std::vector<SptResult> out(sources.size());
-  drive(sources.size(), pool, [&](std::size_t i) {
-    DijkstraWorkspace& ws = thread_local_workspace();
-    out[i].source = sources[i];
-    out[i].dist.resize(n);
-    out[i].parent.resize(n);
-    dijkstra_node_row_into(ws, g, sources[i], out[i].dist, out[i].parent);
-  });
-  return out;
-}
-
-std::vector<SptResult> spt_batch(const graph::LinkGraph& g,
-                                 std::span<const NodeId> sources,
-                                 util::ThreadPool* pool) {
-  const std::size_t n = g.num_nodes();
-  std::vector<SptResult> out(sources.size());
-  drive(sources.size(), pool, [&](std::size_t i) {
-    DijkstraWorkspace& ws = thread_local_workspace();
-    out[i].source = sources[i];
-    out[i].dist.resize(n);
-    out[i].parent.resize(n);
-    dijkstra_link_row_into(ws, g, sources[i], out[i].dist, out[i].parent);
-  });
-  return out;
-}
-
 std::vector<Cost> avoiding_paths_batch(const graph::NodeGraph& g, NodeId s,
                                        NodeId t,
                                        std::span<const NodeId> avoid_list) {
@@ -120,67 +75,6 @@ std::vector<Cost> avoiding_paths_batch(const graph::NodeGraph& g,
     out.push_back(delta.dist(t));
   }
   return out;
-}
-
-std::vector<Cost> avoiding_paths_batch_link(const graph::LinkGraph& run,
-                                            const graph::LinkGraph& in,
-                                            const SptResult& base, NodeId t,
-                                            std::span<const NodeId> avoid_list) {
-  SptChildren children;
-  children.build(base);
-  DijkstraWorkspace& ws = thread_local_workspace();
-  MaskedSptDelta delta(run, in, base, children, ws);
-  std::vector<Cost> out;
-  out.reserve(avoid_list.size());
-  for (NodeId k : avoid_list) {
-    TC_CHECK_MSG(k != base.source && k != t,
-                 "cannot avoid an endpoint of the path");
-    delta.eval_one(k);
-    out.push_back(delta.dist(t));
-  }
-  return out;
-}
-
-namespace {
-
-template <typename Graph, typename Kernel>
-void for_each_masked_spt_impl(const Graph& g, NodeId source, std::size_t count,
-                              const MaskBuilder& build_mask,
-                              const SptVisitor& visit, util::ThreadPool* pool,
-                              Kernel&& kernel) {
-  const std::size_t n = g.num_nodes();
-  drive(count, pool, [&](std::size_t i) {
-    DijkstraWorkspace& ws = thread_local_workspace();
-    graph::NodeMask& mask = ws.scratch_mask(n);
-    build_mask(i, mask);
-    kernel(ws, g, source, mask);
-    visit(i, ws);
-    mask.clear_blocks();
-  });
-}
-
-}  // namespace
-
-void for_each_masked_spt(const graph::NodeGraph& g, NodeId source,
-                         std::size_t count, const MaskBuilder& build_mask,
-                         const SptVisitor& visit, util::ThreadPool* pool) {
-  for_each_masked_spt_impl(
-      g, source, count, build_mask, visit, pool,
-      [](DijkstraWorkspace& ws, const graph::NodeGraph& graph, NodeId src,
-         const graph::NodeMask& mask) {
-        dijkstra_node_into(ws, graph, src, mask);
-      });
-}
-
-void for_each_masked_spt(const graph::LinkGraph& g, NodeId source,
-                         std::size_t count, const MaskBuilder& build_mask,
-                         const SptVisitor& visit, util::ThreadPool* pool) {
-  for_each_masked_spt_impl(
-      g, source, count, build_mask, visit, pool,
-      [](DijkstraWorkspace& ws, const graph::LinkGraph& graph, NodeId src,
-         const graph::NodeMask& mask) {
-        dijkstra_link_into(ws, graph, src, mask);
-      });
 }
 
 }  // namespace tc::spath

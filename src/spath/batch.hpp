@@ -1,20 +1,11 @@
-// Batched shortest-path drivers on top of the workspace kernels.
-//
-// All batch APIs have a deterministic result contract: outputs are indexed
-// by input position, and for a given input the result is byte-identical
-// whether the batch runs serially or fanned out on a thread pool (each
-// worker uses its own thread-local workspace; workers never share mutable
-// state). Passing pool == nullptr runs the batch on the calling thread.
-//
-// Nested-pool caveat: ThreadPool::parallel_for blocks the caller until the
-// batch drains, so never pass the pool you are currently running *inside*
-// (all workers could block on inner batches, deadlocking the queue).
-// Callers that are themselves parallelized — e.g. the Monte Carlo
-// experiment driver — should pass nullptr.
+// Batched shortest-path drivers on top of the workspace kernels: many
+// SPT roots into one flat matrix (spt_multi_into), and many single-node
+// avoiding-path costs from one shared base SPT (avoiding_paths_batch).
+// Outputs are indexed by input position and each entry depends only on
+// its own input, never on the other roots or their order.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -23,10 +14,6 @@
 #include "graph/node_graph.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
-
-namespace tc::util {
-class ThreadPool;
-}  // namespace tc::util
 
 namespace tc::spath {
 
@@ -95,17 +82,6 @@ void spt_multi_into(DijkstraWorkspace& ws, SptMatrix& m,
                     const graph::NodeMask& mask = {},
                     HeapKind heap = HeapKind::kBinary);
 
-/// One full SPT per source, bit-identical to dijkstra_node(g, sources[i])
-/// and ordered by input index.
-[[nodiscard]] std::vector<SptResult> spt_batch(
-    const graph::NodeGraph& g, std::span<const graph::NodeId> sources,
-    util::ThreadPool* pool = nullptr);
-
-/// Link-model counterpart (dijkstra_link per source).
-[[nodiscard]] std::vector<SptResult> spt_batch(
-    const graph::LinkGraph& g, std::span<const graph::NodeId> sources,
-    util::ThreadPool* pool = nullptr);
-
 /// Cost of the least-cost s->t path avoiding each avoid_list[j] (which
 /// must exclude the endpoints): out[j] equals
 /// avoiding_path_node(g, s, t, avoid_list[j]).cost bit for bit, but the
@@ -121,32 +97,5 @@ void spt_multi_into(DijkstraWorkspace& ws, SptMatrix& m,
 [[nodiscard]] std::vector<graph::Cost> avoiding_paths_batch(
     const graph::NodeGraph& g, const SptResult& base, graph::NodeId t,
     std::span<const graph::NodeId> avoid_list);
-
-/// Link-model batch over a base SPT computed on `run` (see MaskedSptDelta
-/// for the run/in graph pairing).
-[[nodiscard]] std::vector<graph::Cost> avoiding_paths_batch_link(
-    const graph::LinkGraph& run, const graph::LinkGraph& in,
-    const SptResult& base, graph::NodeId t,
-    std::span<const graph::NodeId> avoid_list);
-
-/// Runs one masked SPT from `source` per index in [0, count):
-/// build_mask(i, mask) blocks nodes on a pre-sized all-allowed mask (the
-/// driver re-clears it between indices), then visit(i, ws) reads that
-/// run's results. With a pool, distinct indices run concurrently on
-/// per-worker workspaces — visit must not touch shared state without
-/// synchronization — but each index's SPT is still bit-identical to its
-/// serial run.
-using MaskBuilder = std::function<void(std::size_t, graph::NodeMask&)>;
-using SptVisitor = std::function<void(std::size_t, const DijkstraWorkspace&)>;
-
-void for_each_masked_spt(const graph::NodeGraph& g, graph::NodeId source,
-                         std::size_t count, const MaskBuilder& build_mask,
-                         const SptVisitor& visit,
-                         util::ThreadPool* pool = nullptr);
-
-void for_each_masked_spt(const graph::LinkGraph& g, graph::NodeId source,
-                         std::size_t count, const MaskBuilder& build_mask,
-                         const SptVisitor& visit,
-                         util::ThreadPool* pool = nullptr);
 
 }  // namespace tc::spath

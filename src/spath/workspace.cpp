@@ -779,23 +779,6 @@ void SptChildren::build(const SptResult& base) {
   }
 }
 
-std::vector<std::uint32_t> tree_depths(const SptResult& base,
-                                       const SptChildren& children) {
-  std::vector<std::uint32_t> depth(base.parent.size(), kUnreachableDepth);
-  if (base.source == kInvalidNode || base.parent.empty()) return depth;
-  std::vector<NodeId> stack{base.source};
-  depth[base.source] = 0;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (NodeId c : children.of(v)) {
-      depth[c] = depth[v] + 1;
-      stack.push_back(c);
-    }
-  }
-  return depth;
-}
-
 void MaskedSptDelta::eval(std::span<const NodeId> removed) {
   DijkstraWorkspace& ws = *ws_;
   const std::size_t n = base_->dist.size();

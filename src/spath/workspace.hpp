@@ -232,12 +232,6 @@ class SptChildren {
   std::vector<graph::NodeId> child_;
 };
 
-/// Tree depth of every node (root = 0); kUnreachableDepth for nodes
-/// outside the forest.
-inline constexpr std::uint32_t kUnreachableDepth = 0xffffffffu;
-[[nodiscard]] std::vector<std::uint32_t> tree_depths(
-    const SptResult& base, const SptChildren& children);
-
 /// Exact masked-SPT distances from an unmasked base SPT.
 ///
 /// Removing a node set Q changes the distance of exactly the nodes whose
@@ -303,10 +297,6 @@ class MaskedSptDelta {
   /// As above into a caller-owned row of exactly n entries (the flat
   /// avoid-matrix layout used by the fig3 overpayment sweep).
   void dist_into(std::span<graph::Cost> out) const;
-
-  /// Number of members (re-evaluated nodes) in the last eval; the work
-  /// saved versus a full run is roughly (n - members) / n.
-  std::size_t member_count() const { return ws_->member_list_.size(); }
 
  private:
   void seed_and_relax_members();

@@ -15,7 +15,6 @@
 #include "spath/batch.hpp"
 #include "spath/dijkstra.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tc::spath {
 namespace {
@@ -361,37 +360,6 @@ TEST(Batch, AvoidingPathsBatchMatchesSingles) {
   }
 }
 
-TEST(Batch, SptBatchParallelMatchesSerial) {
-  const auto g = graph::make_erdos_renyi(120, 0.08, 0.1, 9.0, 42);
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) sources.push_back(v);
-
-  const std::vector<SptResult> serial = spt_batch(g, sources);
-  util::ThreadPool pool(8);
-  const std::vector<SptResult> parallel = spt_batch(g, sources, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_spt(parallel[i], serial[i]);
-    expect_same_spt(serial[i], reference::dijkstra_node(g, sources[i]));
-  }
-}
-
-TEST(Batch, SptBatchLinkParallelMatchesSerial) {
-  graph::HeteroParams params;
-  params.n = 80;
-  const auto g = graph::make_hetero_geometric(params, 7);
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) sources.push_back(v);
-
-  const std::vector<SptResult> serial = spt_batch(g, sources);
-  util::ThreadPool pool(8);
-  const std::vector<SptResult> parallel = spt_batch(g, sources, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_spt(parallel[i], serial[i]);
-  }
-}
-
 // -- bucket queue: bit-identical dist, tie-break-valid parents ------------
 
 // kBucket's contract (see HeapKind): distances match every other heap bit
@@ -565,35 +533,6 @@ TEST(Batch, SptMultiIntoLinkMatchesIndependentSolves) {
       expect_bits_equal(got.dist, reference::dijkstra_link(g, roots[i]).dist);
       expect_valid_link_tree(g, got);
     }
-  }
-}
-
-TEST(Batch, ForEachMaskedSptParallelMatchesSerial) {
-  const auto g = graph::make_erdos_renyi(100, 0.1, 0.1, 9.0, 11);
-  const std::size_t n = g.num_nodes();
-  const NodeId source = 0;
-  const std::size_t count = n - 1;
-  const auto build_mask = [&](std::size_t i, graph::NodeMask& mask) {
-    mask.block(static_cast<NodeId>(i + 1));  // never the source
-  };
-
-  std::vector<std::vector<Cost>> serial(count), parallel(count);
-  const auto collect = [n](std::vector<std::vector<Cost>>& out) {
-    return [&out, n](std::size_t i, const DijkstraWorkspace& ws) {
-      out[i].resize(n);
-      for (NodeId v = 0; v < n; ++v) out[i][v] = ws.dist(v);
-    };
-  };
-  for_each_masked_spt(g, source, count, build_mask, collect(serial));
-  util::ThreadPool pool(8);
-  for_each_masked_spt(g, source, count, build_mask, collect(parallel), &pool);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    expect_bits_equal(parallel[i], serial[i]);
-    graph::NodeMask mask(n);
-    mask.block(static_cast<NodeId>(i + 1));
-    expect_bits_equal(serial[i],
-                      reference::dijkstra_node(g, source, mask).dist);
   }
 }
 

@@ -21,9 +21,11 @@ run in CI, so a violation fails the build. Rules:
                 spt_multi_into (its SptMatrix is the one grow-only
                 allocation for a whole many-roots pass, never per root),
                 MaskedSptDelta::eval, CostDelta::apply_* and Algorithm
-                1's pricing core (core::fast_payments_into on its
-                PaymentScratch) reuse grow-only arenas instead of
-                building O(n) state per invocation. This rule walks the
+                1's pricing kernel on its PaymentScratch — the node-cost
+                core::fast_payments_into and the link-cost
+                core::internal::link_payments_into (node agents) and
+                edge_payments_into (edge agents) — reuse grow-only
+                arenas instead of building O(n) state per invocation. This rule walks the
                 call graph from those roots and rejects any reachable
                 function that constructs
                 a local std container, calls make_unique/make_shared,
@@ -117,14 +119,17 @@ LAYER_DEPS: dict[str, tuple[str, ...]] = {
 # hot-alloc roots: every function named *_into, plus named roots, each
 # restricted to definitions under its own directory so an unrelated
 # `eval` elsewhere cannot become a root: the repair kernels in spath and
-# Algorithm 1's allocation-free pricing core in core (rooted by name too,
-# so it stays covered whatever the suffix rule matches).
+# Algorithm 1's allocation-free pricing cores in core, node-cost and
+# link-cost (rooted by name too, so they stay covered whatever the suffix
+# rule matches).
 HOT_ROOT_SUFFIX = "_into"
 HOT_EXTRA_ROOTS = (
     ("eval", "src/spath"),
     ("apply_node_cost", "src/spath"),
     ("apply_arc_cost", "src/spath"),
     ("fast_payments_into", "src/core"),
+    ("link_payments_into", "src/core"),
+    ("edge_payments_into", "src/core"),
 )
 
 # Functions the hot-alloc traversal treats as amortized-O(1) boundaries:
@@ -194,7 +199,9 @@ CALL_KEYWORDS = frozenset(
     "co_await co_return co_yield assert defined static_cast dynamic_cast "
     "const_cast reinterpret_cast".split())
 
-CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+# A call, optionally with explicit template arguments (`f<Model>(...)`),
+# so calls into templated kernels resolve like plain ones.
+CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:<[^<>;(){}]*>)?\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:

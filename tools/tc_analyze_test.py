@@ -36,6 +36,7 @@ EXPECTATIONS = {
     "hot_alloc_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_batched_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_core_bad": ("hot-alloc", "hot-alloc"),
+    "hot_alloc_link_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_allowed": ("hot-alloc", None),
     "reader_locks_bad": ("reader-locks", "reader-locks"),
     "mutable_const_bad": ("mutable-const", "mutable-const"),
