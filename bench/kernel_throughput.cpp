@@ -20,10 +20,21 @@
 //                                   the link UDG, against the frozen
 //                                   heap-sweep engines (tests/reference),
 //                                   memcmp-equal
+//   fast-payment-steps            : Algorithm 1's steps 2-6 alone, the
+//                                   SPT-accepting vcg_payments_fast per
+//                                   source with both trees solved outside
+//                                   the timer, against the frozen
+//                                   reference's fast_payments_from_spts,
+//                                   memcmp-equal; on price-scale-shaped
+//                                   UDGs (side 2000 m * sqrt(n / 1024),
+//                                   range 300 m, costs U[1, 10]) at
+//                                   n = 1024..65536 (--quick: 1024)
 // --heap=binary|quad|pairing|bucket selects the workspace-side queue for
 // the dijkstra rows (kBucket: bit-identical dist, own parent tie-break).
 // Run with --json BENCH_kernels.json to refresh the committed numbers.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -218,6 +229,21 @@ bool same_overpayment(const core::OverpaymentResult& a,
 }
 
 std::string fmt_ms(double seconds) { return util::fmt(seconds * 1e3, 3); }
+
+/// The node nearest the centre of a side x side region.
+NodeId central_node(const graph::NodeGraph& g, double side) {
+  NodeId best = 0;
+  double best_d2 = 1e300;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const double dx = g.position(v).x - side / 2;
+    const double dy = g.position(v).y - side / 2;
+    if (dx * dx + dy * dy < best_d2) {
+      best_d2 = dx * dx + dy * dy;
+      best = v;
+    }
+  }
+  return best;
+}
 
 spath::HeapKind heap_of(const std::string& name) {
   if (name == "binary") return spath::HeapKind::kBinary;
@@ -461,6 +487,51 @@ int main(int argc, char** argv) {
                     std::to_string(iters)});
 
     if (sink == 12345.6789) std::cerr << "";  // keep the sink live
+  }
+
+  // -- Algorithm 1 steps 2-6 across scale, both trees given -------------
+  std::vector<std::size_t> step_sizes{1024, 4096, 16384, 65536};
+  if (flags.get_bool("quick")) step_sizes = {1024};
+  for (const std::size_t n : step_sizes) {
+    graph::UdgParams params;
+    params.n = n;
+    const double side = 2000.0 * std::sqrt(static_cast<double>(n) / 1024.0);
+    params.region = {side, side};
+    params.range_m = 300.0;
+    const auto g = graph::make_unit_disk_node(params, 1.0, 10.0, seed + n);
+    const NodeId target = central_node(g, side);
+    const spath::SptResult spt_target = spath::dijkstra_node(g, target);
+    // Up to 32 sources at n = 1024, halving per size step (at least 4),
+    // taken in id order among the nodes that reach the target.
+    const std::size_t want = std::max<std::size_t>(4, 32 * 1024 / n);
+    std::vector<NodeId> srcs;
+    std::vector<spath::SptResult> src_trees;
+    for (NodeId v = 0; v < n && srcs.size() < want; ++v) {
+      if (v == target || !spt_target.reached(v)) continue;
+      srcs.push_back(v);
+      src_trees.push_back(spath::dijkstra_node(g, v));
+    }
+    std::vector<core::PaymentResult> ref(srcs.size()), fast(srcs.size());
+    const double steps_base = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < srcs.size(); ++i) {
+        ref[i] = core::reference::fast_payments_from_spts(
+            g, srcs[i], target, src_trees[i], spt_target);
+      }
+    });
+    const double steps_ws = min_seconds_of(iters, [&] {
+      for (std::size_t i = 0; i < srcs.size(); ++i) {
+        fast[i] = core::vcg_payments_fast(g, srcs[i], target, src_trees[i],
+                                          spt_target);
+      }
+    });
+    for (std::size_t i = 0; i < srcs.size(); ++i) {
+      require(same_payments(ref[i], fast[i]),
+              "steps 2-6 diverged from the frozen reference");
+    }
+    report.add_row({"fast-payment-steps", std::to_string(n),
+                    fmt_ms(steps_base), fmt_ms(steps_ws),
+                    util::fmt(steps_base / steps_ws, 2),
+                    std::to_string(iters)});
   }
 
   report.print();

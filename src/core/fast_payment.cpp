@@ -7,9 +7,11 @@
 
 #include "core/audit_hooks.hpp"
 #include "core/edge_vcg.hpp"
+#include "core/fast_payment_scan.hpp"
 #include "spath/dijkstra.hpp"
 #include "spath/workspace.hpp"
 #include "util/check.hpp"
+#include "util/cpu_features.hpp"
 
 namespace tc::core {
 
@@ -18,6 +20,8 @@ using graph::Cost;
 using graph::kInfCost;
 using graph::kInvalidNode;
 using graph::NodeId;
+using internal::ScanMins;
+using internal::stamp_levels;
 
 namespace {
 
@@ -29,23 +33,6 @@ constexpr std::uint32_t kOnWalk = kInvalidLevel - 2;
 PaymentScratch& thread_local_payment_scratch() {
   thread_local PaymentScratch scratch;
   return scratch;
-}
-
-/// Range-min tree over path levels, leaf width + l for level l:
-/// min-stamps `value` onto every level in [first, last).
-void stamp_levels(Cost* tree, std::size_t width, std::size_t first,
-                  std::size_t last, Cost value) {
-  for (std::size_t a = width + first, b = width + last; a < b;
-       a >>= 1, b >>= 1) {
-    if ((a & 1) != 0) {
-      tree[a] = std::min(tree[a], value);
-      ++a;
-    }
-    if ((b & 1) != 0) {
-      --b;
-      tree[b] = std::min(tree[b], value);
-    }
-  }
 }
 
 /// The cheapest value stamped over level l.
@@ -60,10 +47,11 @@ Cost stamped_at(const Cost* tree, std::size_t width, std::size_t l) {
 // How a hop is priced: the one difference between the node-cost model
 // (Section III.B: an interior relay v costs c_v) and the symmetric
 // link-cost model (Section III.F: a hop u-v costs w(u,v) = w(v,u)). The
-// kernel is instantiated with one of the two; each method is the exact
-// expression the per-level textbook formulation of that model evaluates,
-// so both instantiations keep its association order (DESIGN.md §1.2.1).
-// In every method v is the node being scanned and `hop` leads to w.
+// kernel is instantiated with one of the two. Each policy owns the two
+// arc loops, the fused scan (`scan`) and the restricted Dijkstra's
+// relaxation (`relax`), and each value it forms is the exact expression
+// the per-level textbook formulation of that model evaluates, so both
+// instantiations keep its association order (DESIGN.md §1.2.1).
 
 struct NodeCosts {
   using Graph = graph::NodeGraph;
@@ -73,59 +61,74 @@ struct NodeCosts {
                         std::span<NodeId> parent) {
     spath::dijkstra_node_row_into(ws, g, root, dist, parent);
   }
-  static std::span<const NodeId> hops(const Graph& g, NodeId v) {
-    return g.neighbors(v);
-  }
-  static NodeId head(NodeId w) { return w; }
 
-  /// Precomputes lc = L(v) + c_v and cr = c_v + R(v) into the buffers.
+  /// Precomputes pair[2v] = L(v) + c_v and pair[2v + 1] = c_v + R(v)
+  /// into `pair_buf`, sizes the relaxation's candidate buffer, and picks
+  /// the AVX-512 or scalar arc loops (fast_payment_scan.hpp) for this CPU.
   NodeCosts(const Graph& g, NodeId s, NodeId t, std::span<const Cost> L,
-            std::span<const Cost> R, std::vector<Cost>& lc_buf,
-            std::vector<Cost>& cr_buf)
-      : cost(g.costs().data()), dist_t(R.data()), source(s), target(t) {
+            std::span<const Cost> R, const std::uint32_t* levels,
+            std::vector<Cost>& pair_buf, std::vector<NodeId>& ids_buf)
+      : in{levels, nullptr, g.costs().data(), R.data(), s, t} {
     const std::size_t n = g.num_nodes();
-    lc_buf.resize(n);
-    cr_buf.resize(n);
-    Cost* const lc_out = lc_buf.data();
-    Cost* const cr_out = cr_buf.data();
+    pair_buf.resize(2 * n);
+    ids_buf.resize(n);
+    Cost* const pair = pair_buf.data();
     for (NodeId v = 0; v < n; ++v) {
-      lc_out[v] = L[v] + interior(v);
-      cr_out[v] = interior(v) + R[v];
+      pair[2 * std::size_t{v}] = L[v] + interior(v);
+      pair[2 * std::size_t{v} + 1] = interior(v) + R[v];
     }
-    lc = lc_out;
-    cr = cr_out;
+    in.pair = pair;
+    ids = ids_buf.data();
+#if TC_AVX512_TARGET
+    if (util::have_avx512()) {
+      scan_hops = internal::fused_scan_avx512;
+      candidates = internal::relax_candidates_avx512;
+    }
+#endif
   }
 
   /// A node's cost when it is interior on a candidate path; the
   /// endpoints' own costs are excluded by the path-cost convention.
   Cost interior(NodeId v) const {
-    return (v == source || v == target) ? 0.0 : cost[v];
+    return (v == in.source || v == in.target) ? 0.0 : in.cost[v];
   }
-  /// Into v from a lower-level neighbor w: L(w) + c_w.
-  Cost from_lower(NodeId w) const { return lc[w]; }
-  /// Out of v to a higher-level neighbor w: c_w + R(w).
-  Cost to_higher(NodeId w) const { return cr[w]; }
-  /// Crossing edge v-w, v the lower level: L(v) + c_v + c_w + R(w).
-  Cost crossing(NodeId v, NodeId w) const {
-    return lc[v] + interior(w) + dist_t[w];
+  /// Fused scan of v: low(v) from lower-level neighbours w (L(w) + c_w),
+  /// the seed from higher ones (c_w + R(w)), crossing edges
+  /// L(v) + c_v + c_w + R(w) stamped into `cross`.
+  ScanMins scan(const Graph& g, NodeId v, std::uint32_t lv, Cost* cross,
+                std::size_t width) const {
+    return scan_hops(in, v, lv, g.neighbors(v), cross, width);
   }
-  /// Restricted Dijkstra: settled v at R^{-l}(v) = d offers its
-  /// neighbors leave(v, d) then via(..., hop): c_v + d.
-  Cost leave(NodeId v, Cost d) const { return cost[v] + d; }
-  static Cost via(Cost through, NodeId /*w*/) { return through; }
+  /// Settled member v of level l at R^{-l}(v) = d offers c_v + d to its
+  /// level-l neighbours other than r_l. The prefilter lists candidates;
+  /// the re-check against live r_minus keeps the sequential loop's exact
+  /// sequence of heap operations.
+  void relax(const Graph& g, NodeId v, Cost d, std::uint32_t l, NodeId r_l,
+             Cost* r_minus, spath::BinaryHeap& heap) const {
+    const Cost through = in.cost[v] + d;
+    const std::size_t cnt =
+        candidates(in.level, r_minus, g.neighbors(v), l, r_l, through, ids);
+    for (std::size_t j = 0; j < cnt; ++j) {
+      const NodeId w = ids[j];
+      if (through < r_minus[w]) {
+        r_minus[w] = through;
+        heap.push_or_decrease(w, through);
+      }
+    }
+  }
   /// Step 4 through settled member v: enter(low(v), v) + R^{-l}(v).
-  Cost enter(Cost low, NodeId v) const { return low + cost[v]; }
+  Cost enter(Cost low, NodeId v) const { return low + in.cost[v]; }
   /// The declared cost relay path[l] is paid on top of its step-6 term.
   Cost own(const Graph& /*g*/, const NodeId* path, std::uint32_t l) const {
-    return cost[path[l]];
+    return in.cost[path[l]];
   }
 
-  const Cost* cost;
-  const Cost* dist_t;
-  const Cost* lc = nullptr;
-  const Cost* cr = nullptr;
-  NodeId source;
-  NodeId target;
+  internal::NodeScanInput in;
+  NodeId* ids = nullptr;
+  decltype(&internal::fused_scan_scalar) scan_hops =
+      internal::fused_scan_scalar;
+  decltype(&internal::relax_candidates_scalar) candidates =
+      internal::relax_candidates_scalar;
 };
 
 struct LinkCosts {
@@ -136,27 +139,52 @@ struct LinkCosts {
                         std::span<NodeId> parent) {
     spath::dijkstra_link_row_into(ws, g, root, dist, parent);
   }
-  static std::span<const Arc> hops(const Graph& g, NodeId v) {
-    return g.out_arcs(v);
-  }
-  static NodeId head(const Arc& a) { return a.to; }
 
   LinkCosts(const Graph& /*g*/, NodeId /*s*/, NodeId /*t*/,
             std::span<const Cost> L, std::span<const Cost> R,
-            std::vector<Cost>& /*lc_buf*/, std::vector<Cost>& /*cr_buf*/)
-      : dist_s(L.data()), dist_t(R.data()) {}
+            const std::uint32_t* levels, std::vector<Cost>& /*pair_buf*/,
+            std::vector<NodeId>& /*ids_buf*/)
+      : dist_s(L.data()), dist_t(R.data()), level(levels) {}
 
-  /// L(w) + w(v,w).
-  Cost from_lower(const Arc& a) const { return dist_s[a.to] + a.cost; }
-  /// w(v,w) + R(w).
-  Cost to_higher(const Arc& a) const { return a.cost + dist_t[a.to]; }
   /// L(v) + w(v,w) + R(w).
   Cost crossing(NodeId v, const Arc& a) const {
     return dist_s[v] + a.cost + dist_t[a.to];
   }
-  /// R^{-l}(v) + w(v,w).
-  static Cost leave(NodeId /*v*/, Cost d) { return d; }
-  static Cost via(Cost through, const Arc& a) { return through + a.cost; }
+  /// Fused scan of v: low(v) from lower-level neighbours w
+  /// (L(w) + w(v,w)), the seed from higher ones (w(v,w) + R(w)), crossing
+  /// edges stamped into `cross`. Scalar on every CPU.
+  ScanMins scan(const Graph& g, NodeId v, std::uint32_t lv, Cost* cross,
+                std::size_t width) const {
+    ScanMins out{kInfCost, kInfCost};
+    for (const Arc& a : g.out_arcs(v)) {
+      const std::uint32_t lw = level[a.to];
+      if (lw == kInvalidLevel || lw == lv) continue;
+      if (lw < lv) {
+        out.lo = std::min(out.lo, dist_s[a.to] + a.cost);
+        continue;
+      }
+      out.seed = std::min(out.seed, a.cost + dist_t[a.to]);
+      // Few edges skip a level; keep the stamp off the scan's hot path.
+      if (lw < lv + 2 || !graph::finite_cost(dist_t[a.to])) [[likely]] {
+        continue;
+      }
+      stamp_levels(cross, width, lv + 1, lw, crossing(v, a));
+    }
+    return out;
+  }
+  /// Settled member v of level l at R^{-l}(v) = d offers d + w(v,w) to its
+  /// level-l neighbours w other than r_l.
+  void relax(const Graph& g, NodeId v, Cost d, std::uint32_t l, NodeId r_l,
+             Cost* r_minus, spath::BinaryHeap& heap) const {
+    for (const Arc& a : g.out_arcs(v)) {
+      if (level[a.to] != l || a.to == r_l) continue;
+      const Cost cand = d + a.cost;
+      if (cand < r_minus[a.to]) {
+        r_minus[a.to] = cand;
+        heap.push_or_decrease(a.to, cand);
+      }
+    }
+  }
   /// min_u (L(u) + w(u,v)) + R^{-l}(v).
   static Cost enter(Cost low, NodeId /*v*/) { return low; }
   /// The forwarding arc path[l] -> path[l+1].
@@ -166,6 +194,7 @@ struct LinkCosts {
 
   const Cost* dist_s;
   const Cost* dist_t;
+  const std::uint32_t* level;
 };
 
 }  // namespace
@@ -256,7 +285,8 @@ struct PaymentKernel {
     label_levels(parent, out.path, s.level_, s.stack_);
     const std::uint32_t* const level = s.level_.data();
     const NodeId* const path = out.path.data();
-    const Costs costs(g, source, target, dist_s, dist_t, s.lc_, s.cr_);
+    const Costs costs(g, source, target, dist_s, dist_t, level, s.pair_,
+                      s.relax_ids_);
 
     // --- Fused scan (steps 3-5 inputs). --------------------------------
     // Off-path nodes of levels 1..q-1 are the step-3 members. For each:
@@ -283,28 +313,14 @@ struct PaymentKernel {
       if (lv == kInvalidLevel) continue;
       const bool member = lv >= 1 && lv < q && path[lv] != v;
       if (!member && lv + 2 > q) continue;  // no work from v
-      Cost seed = kInfCost;
-      Cost lo = kInfCost;
-      for (const auto& hop : Costs::hops(g, v)) {
-        const NodeId w = Costs::head(hop);
-        const std::uint32_t lw = level[w];
-        if (lw == kInvalidLevel || lw == lv) continue;
-        if (lw < lv) {
-          lo = std::min(lo, costs.from_lower(hop));
-          continue;
-        }
-        seed = std::min(seed, costs.to_higher(hop));
-        // Few edges skip a level; keep the stamp off the scan's hot path.
-        if (lw < lv + 2 || !graph::finite_cost(dist_t[w])) [[likely]] {
-          continue;
-        }
-        stamp_levels(cross, width, lv + 1, lw, costs.crossing(v, hop));
-      }
+      const ScanMins mins = costs.scan(g, v, lv, cross, width);
       if (!member) continue;
-      r_minus[v] = seed;
-      low[v] = lo;
-      min_low[lv] = std::min(min_low[lv], lo);
-      if (graph::finite_cost(seed)) s.heap_.push_or_decrease(v, seed);
+      r_minus[v] = mins.seed;
+      low[v] = mins.lo;
+      min_low[lv] = std::min(min_low[lv], mins.lo);
+      if (graph::finite_cost(mins.seed)) {
+        s.heap_.push_or_decrease(v, mins.seed);
+      }
     }
 
     // avoid[l] starts at the cheapest crossing over r_l (step 5) and
@@ -337,17 +353,7 @@ struct PaymentKernel {
         continue;
       }
       avoid[l] = std::min(avoid[l], costs.enter(low[v], v) + d);
-      const Cost through = costs.leave(v, d);
-      const NodeId r_l = path[l];
-      for (const auto& hop : Costs::hops(g, v)) {
-        const NodeId w = Costs::head(hop);
-        if (level[w] != l || w == r_l) continue;
-        const Cost cand = costs.via(through, hop);
-        if (cand < r_minus[w]) {
-          r_minus[w] = cand;
-          s.heap_.push_or_decrease(w, cand);
-        }
-      }
+      costs.relax(g, v, d, l, path[l], r_minus, s.heap_);
     }
 
     // --- Step 6: payments. ---------------------------------------------
@@ -377,8 +383,8 @@ struct PaymentKernel {
     label_levels(s.parent_s_, out.path, s.level_, s.stack_);
     const std::uint32_t* const level = s.level_.data();
     const NodeId* const path = out.path.data();
-    const LinkCosts costs(g, source, target, s.dist_s_, s.dist_t_, s.lc_,
-                          s.cr_);
+    const LinkCosts costs(g, source, target, s.dist_s_, s.dist_t_, level,
+                          s.pair_, s.relax_ids_);
     const std::size_t width = std::bit_ceil(std::size_t{q});
     s.cross_.assign(2 * width, kInfCost);
     Cost* const cross = s.cross_.data();

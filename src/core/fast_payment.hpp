@@ -27,9 +27,12 @@
 // step 2 is a memoized walk up the parent array; one scan over the
 // adjacency seeds step 3, collects step 4's lower-level entries and folds
 // every crossing edge of step 5 into a range-min tree; one early-stopping
-// restricted Dijkstra serves every level of steps 3 and 4. Payments are
-// bit-for-bit those of the textbook per-level formulation (pinned by
-// tests/core_fast_payment_bits_test.cpp).
+// restricted Dijkstra serves every level of steps 3 and 4. For node costs
+// both arc loops (the scan and the relaxation) run as AVX-512
+// gather/mask prefilters where the CPU has them, with bit-identical
+// scalar twins elsewhere (fast_payment_scan.hpp, DESIGN.md §13.2).
+// Payments are bit-for-bit those of the textbook per-level formulation
+// (pinned by tests/core_fast_payment_bits_test.cpp).
 //
 // The same kernel prices the symmetric link-cost model (Section III.F):
 // it is instantiated with a compile-time cost policy that says how a hop
@@ -92,13 +95,14 @@ class PaymentScratch {
   // Step 2: levels, and the walk's stack.
   std::vector<std::uint32_t> level_;
   std::vector<graph::NodeId> stack_;
-  // Per node: L(v) + c_v and c_v + R(v) (node costs only), R^{-l}(v)
-  // (tentative until settled), and low(v), the best way into v from a
-  // lower-level neighbor.
-  std::vector<graph::Cost> lc_;
-  std::vector<graph::Cost> cr_;
+  // Per node: the interleaved pair L(v) + c_v, c_v + R(v) (node costs
+  // only; 2n entries), R^{-l}(v) (tentative until settled), and low(v),
+  // the best way into v from a lower-level neighbor.
+  std::vector<graph::Cost> pair_;
   std::vector<graph::Cost> r_minus_;
   std::vector<graph::Cost> low_;
+  // The restricted Dijkstra's relaxation candidates (node costs only).
+  std::vector<graph::NodeId> relax_ids_;
   // Per level: min low over members, the running ||P_{-r_l}||, and
   // whether the level is still searching.
   std::vector<graph::Cost> min_low_;

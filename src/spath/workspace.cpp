@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include "util/cpu_features.hpp"
+
+#if TC_AVX512_TARGET
 #include <immintrin.h>
 #endif
 
@@ -69,19 +71,13 @@ Cost link_cost_bound(const graph::LinkGraph& g) {
 // (a candidate superseded within its own batch) cost one extra compare;
 // false negatives are impossible because tentative distances only
 // decrease during the scan.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TC_SPATH_SIMD_SCAN 1
+#if TC_AVX512_TARGET
 
 // GCC's AVX-512 intrinsic headers seed blend targets with
 // _mm512_undefined_epi32(), which -Wmaybe-uninitialized flags when the
 // wrappers inline; silence that known false positive for the scans only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-inline bool have_avx512() {
-  static const bool have = __builtin_cpu_supports("avx512f");
-  return have;
-}
 
 // Node model: `through` is constant across u's whole neighbor scan, so
 // 16 neighbors per step need one 32-bit stamp gather, one (masked)
@@ -250,7 +246,7 @@ __attribute__((target("avx512f"))) std::size_t scan_link_row(
   return cnt;
 }
 #pragma GCC diagnostic pop
-#endif  // TC_SPATH_SIMD_SCAN
+#endif  // TC_AVX512_TARGET
 
 }  // namespace
 
@@ -347,9 +343,9 @@ struct WorkspaceKernels {
       const auto nbrs = g.neighbors(u);
       const NodeId* const nb = nbrs.data();
       const std::size_t deg = nbrs.size();
-#if TC_SPATH_SIMD_SCAN
+#if TC_AVX512_TARGET
       if constexpr (!kMasked) {
-        if (have_avx512()) {
+        if (util::have_avx512()) {
           const std::size_t cnt =
               scan_node_lanes(lane, nb, deg, e, through, ws.scan_ids_.data());
           for (std::size_t j = 0; j < cnt; ++j) {
@@ -410,9 +406,9 @@ struct WorkspaceKernels {
       const auto arcs = g.out_arcs(u);
       const graph::Arc* const ar = arcs.data();
       const std::size_t deg = arcs.size();
-#if TC_SPATH_SIMD_SCAN
+#if TC_AVX512_TARGET
       if constexpr (!kMasked) {
-        if (have_avx512()) {
+        if (util::have_avx512()) {
           const std::size_t cnt =
               scan_link_lanes(lane, ar, deg, e, du, ws.scan_ids_.data(),
                               ws.scan_cand_.data());
@@ -483,9 +479,9 @@ struct WorkspaceKernels {
       const auto nbrs = g.neighbors(u);
       const NodeId* const nb = nbrs.data();
       const std::size_t deg = nbrs.size();
-#if TC_SPATH_SIMD_SCAN
+#if TC_AVX512_TARGET
       if constexpr (!kMasked) {
-        if (have_avx512()) {
+        if (util::have_avx512()) {
           // One gather suffices: the prefilled row already reads kInfCost
           // for untouched targets and a final (never improvable) distance
           // for settled ones.
@@ -544,9 +540,9 @@ struct WorkspaceKernels {
       const auto arcs = g.out_arcs(u);
       const graph::Arc* const ar = arcs.data();
       const std::size_t deg = arcs.size();
-#if TC_SPATH_SIMD_SCAN
+#if TC_AVX512_TARGET
       if constexpr (!kMasked) {
-        if (have_avx512()) {
+        if (util::have_avx512()) {
           const std::size_t cnt =
               scan_link_row(dist, ar, deg, du, ws.scan_ids_.data(),
                             ws.scan_cand_.data());

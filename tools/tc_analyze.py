@@ -28,7 +28,8 @@ run in CI, so a violation fails the build. Rules:
                 arenas instead of building O(n) state per invocation. This rule walks the
                 call graph from those roots and rejects any reachable
                 function that constructs
-                a local std container, calls make_unique/make_shared,
+                a local std container (default-constructed
+                `std::vector<T> v;` included), calls make_unique/make_shared,
                 uses a new-expression, or calls an allocating
                 spath::dijkstra_* entry point (the non-_into forms).
                 Arena growth (.resize/.reserve/.push_back on members) is
@@ -70,10 +71,12 @@ same line or the line above, with a justification.
 Engines (--engine):
   internal   Self-contained tokenizer: comment/string stripping, a
              brace-matching function-definition scanner, and a
-             name-keyed call graph. Conservative: calls are resolved by
-             name, so every same-named definition is traversed. No
-             third-party dependencies; this is what runs locally and in
-             the ctest gate.
+             name-keyed call graph. Conservative: a call is resolved by
+             name to every same-named definition visible from the
+             caller's file (the file itself, the project headers it
+             includes transitively, and each such header's same-stem
+             .cpp). No third-party dependencies; this is what runs
+             locally and in the ctest gate.
   libclang   AST-backed extraction via clang.cindex (python3-clang):
              definitions, call expressions, new-expressions and local
              variable types come from the Clang AST instead of regexes.
@@ -153,6 +156,7 @@ ALLOW_FMT = "tc-analyze: allow({rule})"
 # --------------------------------------------------------------------------
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([A-Za-z_]+)/', re.MULTILINE)
+INCLUDE_PATH_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 MUTABLE_DECL = re.compile(r"^\s*mutable\b")
 MUTABLE_ALLOWED = re.compile(
@@ -172,7 +176,7 @@ HOT_CONTAINER_LOCAL = re.compile(
     r"\b(?:std::)?(?:vector|deque|list|forward_list|map|multimap|set"
     r"|multiset|unordered_map|unordered_multimap|unordered_set"
     r"|unordered_multiset|queue|priority_queue|stack|string|basic_string)"
-    r"\s*<[^;&(]*>\s+\w+\s*[({=]")
+    r"\s*<[^;&(]*>\s+\w+\s*[({=;]")
 # Allocating Dijkstra entry points; `_into` forms do not match because the
 # regex requires "(" right after the bare name.
 HOT_SPATH_ALLOC = re.compile(
@@ -599,42 +603,78 @@ def check_mutable_const(facts: Facts) -> list[str]:
     return violations
 
 
-def _reachable(facts: Facts, roots: list[FunctionFact],
-               boundaries: dict[str, str]
-               ) -> dict[str, tuple[FunctionFact, str | None]]:
-    """BFS over the name-keyed call graph.
+def _visible_files(facts: Facts) -> dict[pathlib.Path, set[pathlib.Path]]:
+    """Per file, the files whose definitions its calls can name: itself,
+    every project header it includes (transitively), and the same-stem
+    .cpp beside each such header, where that header's out-of-line
+    definitions live. A name defined only outside this set is a different
+    function, however it is spelled: `level.assign(...)` in src/core is
+    std::vector::assign, never distsim's AdversarySchedule::assign."""
+    by_path = {p.resolve(): p for p in facts.files}
+    direct: dict[pathlib.Path, list[pathlib.Path]] = {}
+    for path in facts.files:
+        found = []
+        for m in INCLUDE_PATH_RE.finditer(facts.raw[path]):
+            for base in (facts.root / "src", path.parent):
+                hit = by_path.get((base / m.group(1)).resolve())
+                if hit is not None:
+                    found.append(hit)
+                    break
+        direct[path] = found
+    visible: dict[pathlib.Path, set[pathlib.Path]] = {}
+    for path in facts.files:
+        seen = {path}
+        stack = [path]
+        while stack:
+            for h in direct[stack.pop()]:
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+        paired = {by_path.get(h.with_suffix(".cpp").resolve())
+                  for h in seen if h.suffix == ".hpp"}
+        visible[path] = seen | (paired - {None})
+    return visible
 
-    Returns name -> (one representative definition, parent name) for every
-    reachable function; boundary names are not expanded.
+
+# A reachable definition and the definition that first called it.
+Reach = dict[int, tuple[FunctionFact, FunctionFact | None]]
+
+
+def _reachable(facts: Facts, roots: list[FunctionFact],
+               boundaries: dict[str, str]) -> Reach:
+    """BFS over the call graph, from definition to definition.
+
+    A call resolves by name to the definitions visible from the caller's
+    file (_visible_files). Returns id(definition) -> (definition, caller)
+    for every reachable definition; boundary names are not expanded.
     """
     index = facts.by_name()
-    seen: dict[str, tuple[FunctionFact, str | None]] = {}
-    queue: list[tuple[str, str | None]] = []
+    visible = _visible_files(facts)
+    seen: Reach = {}
+    queue: list[FunctionFact] = []
     for r in roots:
-        if r.name not in seen:
-            seen[r.name] = (r, None)
-            queue.append((r.name, None))
+        if id(r) not in seen:
+            seen[id(r)] = (r, None)
+            queue.append(r)
     while queue:
-        name, _parent = queue.pop(0)
-        if name in boundaries:
+        defn = queue.pop(0)
+        if defn.name in boundaries:
             continue
-        for defn in index.get(name, ()):
-            for callee in sorted(defn.calls):
-                if callee in seen or callee not in index:
-                    continue
-                seen[callee] = (index[callee][0], name)
-                queue.append((callee, name))
+        scope = visible[defn.path]
+        for callee in sorted(defn.calls):
+            for target in index.get(callee, ()):
+                if target.path in scope and id(target) not in seen:
+                    seen[id(target)] = (target, defn)
+                    queue.append(target)
     return seen
 
 
-def _chain(seen: dict[str, tuple[FunctionFact, str | None]],
-           name: str) -> str:
-    parts = [name]
-    cursor: str | None = name
+def _chain(seen: Reach, defn: FunctionFact) -> str:
+    parts = []
+    cursor: FunctionFact | None = defn
     while cursor is not None:
-        cursor = seen[cursor][1]
-        if cursor is not None:
-            parts.append(cursor)
+        parts.append(cursor.name)
+        cursor = seen[id(cursor)][1]
     return " <- ".join(parts)
 
 
@@ -655,21 +695,20 @@ def _check_callgraph(facts: Facts, rule: str,
         return [f"<project>: [{rule}] no root functions found "
                 f"(expected {root_suffix or ''} {expected}); "
                 f"the rule would be vacuous"]
-    index = facts.by_name()
     seen = _reachable(facts, roots, boundaries)
     violations = []
-    for name in sorted(seen):
-        if name in boundaries:
+    for defn, _caller in sorted(seen.values(),
+                                key=lambda e: (str(e[0].path), e[0].line)):
+        if defn.name in boundaries:
             continue
-        for defn in index.get(name, ()):
-            for lineno, label, excerpt in defn.sites.get(rule, ()):
-                if line_allowed(facts, defn.path, lineno, rule):
-                    continue
-                rel = defn.path.relative_to(facts.root)
-                violations.append(
-                    f"{rel}:{lineno}: [{rule}] {label} in `{name}`, "
-                    f"reachable from {what} via {_chain(seen, name)}"
-                    f" — {excerpt}")
+        for lineno, label, excerpt in defn.sites.get(rule, ()):
+            if line_allowed(facts, defn.path, lineno, rule):
+                continue
+            rel = defn.path.relative_to(facts.root)
+            violations.append(
+                f"{rel}:{lineno}: [{rule}] {label} in `{defn.name}`, "
+                f"reachable from {what} via {_chain(seen, defn)}"
+                f" — {excerpt}")
     return violations
 
 

@@ -4,7 +4,8 @@
 Each directory under tests/analyze_fixtures/ is a miniature repo root.
 `<rule>_bad` fixtures must be rejected by exactly that rule (exit 1 with
 an [<rule>] tag); `*_allowed` fixtures carry a `tc-analyze: allow(...)`
-waiver and must pass; `clean/` must pass all four rules *non-vacuously*
+waiver and must pass; `*_clean` fixtures must pass their one rule;
+`clean/` must pass all four rules *non-vacuously*
 (it defines real hot-path and pricing roots). The real repo root must
 pass every rule too.
 
@@ -37,7 +38,9 @@ EXPECTATIONS = {
     "hot_alloc_batched_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_core_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_link_bad": ("hot-alloc", "hot-alloc"),
+    "hot_alloc_decl_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_allowed": ("hot-alloc", None),
+    "hot_alloc_name_clash_clean": ("hot-alloc", None),
     "reader_locks_bad": ("reader-locks", "reader-locks"),
     "mutable_const_bad": ("mutable-const", "mutable-const"),
 }
